@@ -41,9 +41,9 @@ inline void install_interrupt_handlers() {
 }
 
 /// Every simulation-visible field of a faulted run, resilience counters
-/// and the full TTR sample vector included. Benches with a shard axis
-/// compare these strings across engine widths and reruns: a match means
-/// the fault subsystem reproduced exactly, not statistically.
+/// and the full TTR sample vector included. Comparing these strings across
+/// reruns checks that the fault subsystem reproduced exactly, not
+/// statistically.
 inline std::string fault_digest(const trace::ScenarioResult& r) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -67,20 +67,22 @@ inline std::string fault_digest(const trace::ScenarioResult& r) {
   return out;
 }
 
-/// One CLI flag a sweep bench understands. Every flag takes a value,
-/// accepted as `--name VALUE` or `--name=VALUE`; `apply` runs during
-/// parsing with the raw value text.
+/// One CLI flag a sweep bench understands. A flag with a `value_name`
+/// takes a value, accepted as `--name VALUE` or `--name=VALUE`; a flag
+/// with an empty `value_name` is a switch and takes none. `apply` runs
+/// during parsing with the raw value text (empty for a switch).
 struct FlagSpec {
   std::string name;        // including the leading "--"
-  std::string value_name;  // shown in the usage line, e.g. "N" or "PATH"
+  std::string value_name;  // shown in the usage line, e.g. "N"; "" = switch
   std::string help;
   std::function<void(const std::string&)> apply;
 };
 
 /// Shared CLI flags of the sweep benches. Parsing is a declarative flag
 /// table; benches register their own flags via `extra_flags`. Unknown
-/// flags, bare positional arguments, and flags missing their value are
-/// hard errors: usage goes to stderr and the bench exits with status 2.
+/// flags, bare positional arguments, flags missing their value and
+/// switches given one are hard errors: usage goes to stderr and the bench
+/// exits with status 2.
 ///
 ///   --jobs N            worker threads; 0 = SPIDER_JOBS env, then
 ///                       hardware_concurrency (ThreadPool::default_jobs)
@@ -153,14 +155,17 @@ struct SweepCli {
 
 inline void print_sweep_usage(const char* argv0,
                               const std::vector<FlagSpec>& flags) {
+  const auto synopsis = [](const FlagSpec& f) {
+    return f.value_name.empty() ? f.name : f.name + " " + f.value_name;
+  };
   std::fprintf(stderr, "usage: %s", argv0);
   for (const FlagSpec& f : flags) {
-    std::fprintf(stderr, " [%s %s]", f.name.c_str(), f.value_name.c_str());
+    std::fprintf(stderr, " [%s]", synopsis(f).c_str());
   }
   std::fprintf(stderr, "\n");
   for (const FlagSpec& f : flags) {
-    std::fprintf(stderr, "  %s %s\n      %s\n", f.name.c_str(),
-                 f.value_name.c_str(), f.help.c_str());
+    std::fprintf(stderr, "  %s\n      %s\n", synopsis(f).c_str(),
+                 f.help.c_str());
   }
 }
 
@@ -213,7 +218,11 @@ inline SweepCli parse_sweep_cli(int argc, char** argv,
       fail("unknown flag '" + name + "'");
     }
     std::string value;
-    if (eq != std::string::npos) {
+    if (spec->value_name.empty()) {
+      if (eq != std::string::npos) {
+        fail("flag '" + name + "' takes no value");
+      }
+    } else if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
     } else if (i + 1 < argc) {
       value = argv[++i];

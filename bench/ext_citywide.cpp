@@ -18,21 +18,9 @@
 // --assert-wall additionally fails the run (stderr diagnostics, nonzero
 // exit) if grid mode loses to brute force on wall-clock at any cell beyond
 // a noise tolerance — the regression guard for the grid hot path.
-//
-// --shards LIST (e.g. --shards 1,2,4) appends the intra-run parallelism
-// axis (DESIGN.md §12): the heaviest cell of the mode runs once serially,
-// then twice per listed shard count. Each shard count must reproduce its
-// own digest exactly, and shards=1 must match the serial engine byte for
-// byte. Speedups are host-dependent and go to the JSON and stderr only;
-// --assert-shards turns the 4-shard speedup floor (>= 1.5x smoke, >= 2x
-// full) into a hard failure when the host has enough cores to express it.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -92,47 +80,22 @@ double candidates_per_tx(const trace::ScenarioResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Valueless flags are stripped before the declarative parser (whose
-  // flags all take values). --assert-wall turns the wall-clock comparison
-  // below into a hard failure; its diagnostics go to stderr so stdout
-  // stays byte-identical across hosts.
+  // --assert-wall turns the wall-clock comparison below into a hard
+  // failure; its diagnostics go to stderr so stdout stays byte-identical
+  // across hosts.
   bool smoke = false;
   bool assert_wall = false;
-  bool assert_shards = false;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else if (std::string_view(argv[i]) == "--assert-wall") {
-      assert_wall = true;
-    } else if (std::string_view(argv[i]) == "--assert-shards") {
-      assert_shards = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
   std::string json_path = "BENCH_citywide.json";
-  std::vector<int> shard_counts;
   auto cli = bench::parse_sweep_cli(
-      static_cast<int>(args.size()), args.data(),
-      {{"--json", "PATH",
+      argc, argv,
+      {{"--smoke", "", "two small cells plus the jobs {1,8} digest pin",
+        [&smoke](const std::string&) { smoke = true; }},
+       {"--assert-wall", "",
+        "fail if grid mode loses to brute force on wall-clock at any cell",
+        [&assert_wall](const std::string&) { assert_wall = true; }},
+       {"--json", "PATH",
         "write per-cell wall-clock metrics as JSON (default " + json_path + ")",
-        [&json_path](const std::string& v) { json_path = v; }},
-       {"--shards", "LIST",
-        "comma-separated shard counts for the intra-run parallelism axis",
-        [&shard_counts](const std::string& v) {
-          for (std::size_t at = 0; at < v.size();) {
-            const std::size_t comma = std::min(v.find(',', at), v.size());
-            const int n = std::atoi(v.substr(at, comma - at).c_str());
-            if (n < 1 || n > 64) {
-              std::fprintf(stderr, "--shards entries must lie in [1, 64]\n");
-              std::exit(2);
-            }
-            shard_counts.push_back(n);
-            at = comma + 1;
-          }
-        }}});
+        [&json_path](const std::string& v) { json_path = v; }}});
 
   const std::vector<Cell> cells =
       smoke ? std::vector<Cell>{{200, 8}, {1000, 8}}
@@ -240,92 +203,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Intra-run parallelism axis (DESIGN.md §12): heaviest cell of the
-  // mode, one serial baseline, then two runs per shard count. Stdout gets
-  // only deterministic fields (bytes, joins, digest verdicts); wall-clock
-  // speedups go to stderr and the JSON.
-  struct ShardRow {
-    int shards = 1;
-    trace::ScenarioResult result;
-    double speedup = 1.0;
-    bool deterministic = true;
-    bool matches_serial = true;  // shards == 1 only: dispatch identity
-  };
-  std::vector<ShardRow> shard_rows;
-  bool shards_ok = true;
-  double serial_wall = 0.0;
-  if (!shard_counts.empty()) {
-    const Cell shard_cell = smoke ? Cell{1000, 64} : Cell{5000, 64};
-    const trace::ScenarioConfig base_cfg =
-        city_config(shard_cell, phy::NeighborIndex::kGrid, duration);
-    auto serial_opts = cli.sweep;
-    serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
-    const trace::ScenarioResult baseline = shard_runner.run({base_cfg})[0];
-    serial_wall = baseline.perf.wall_seconds;
-
-    std::printf("\nshard axis at %zu APs x %d clients (serial %s)\n",
-                shard_cell.aps, shard_cell.clients, digest(baseline).c_str());
-    TextTable shard_table(
-        {"shards", "MB", "joins", "switches", "rerun", "vs serial"});
-    for (const int s : shard_counts) {
-      trace::ScenarioConfig cfg = base_cfg;
-      cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
-      ShardRow row;
-      row.shards = s;
-      row.deterministic = digest(pair[0]) == digest(pair[1]);
-      row.matches_serial = s != 1 || digest(pair[0]) == digest(baseline);
-      row.speedup = pair[0].perf.wall_seconds > 0.0
-                        ? serial_wall / pair[0].perf.wall_seconds
-                        : 0.0;
-      row.result = pair[0];
-      shards_ok = shards_ok && row.deterministic && row.matches_serial;
-      shard_table.add_row(
-          {std::to_string(s), TextTable::num(row.result.total_bytes / 1e6, 2),
-           std::to_string(row.result.joins_attempted),
-           std::to_string(row.result.switches),
-           row.deterministic ? "identical" : "DIFF",
-           s == 1 ? (row.matches_serial ? "identical" : "DIFF")
-                  : std::string("-")});
-      if (!row.deterministic) {
-        std::printf("SHARD RERUN DIVERGENCE at %d shards:\n  %s\n  %s\n", s,
-                    digest(pair[0]).c_str(), digest(pair[1]).c_str());
-      }
-      if (!row.matches_serial) {
-        std::printf("SHARDS=1 DIVERGED FROM SERIAL:\n  serial  %s\n"
-                    "  shards1 %s\n",
-                    digest(baseline).c_str(), digest(pair[0]).c_str());
-      }
-      std::fprintf(stderr, "shards=%d: wall %.3fs, speedup %.2fx\n", s,
-                   row.result.perf.wall_seconds, row.speedup);
-      shard_rows.push_back(std::move(row));
-    }
-    shard_table.print(std::cout);
-    std::printf("shard digest checks: %s\n", shards_ok ? "PASS" : "FAIL");
-
-    // Speedup floor: only meaningful when the host can actually run the
-    // formation in parallel; single-core machines get the determinism
-    // checks and an informational note.
-    const double floor = smoke ? 1.5 : 2.0;
-    const unsigned cores = std::thread::hardware_concurrency();
-    for (const ShardRow& row : shard_rows) {
-      if (row.shards < 4) continue;
-      if (cores < static_cast<unsigned>(row.shards)) {
-        std::fprintf(stderr,
-                     "shards=%d speedup gate skipped: %u core(s) available\n",
-                     row.shards, cores);
-        continue;
-      }
-      if (row.speedup < floor) {
-        std::fprintf(stderr,
-                     "SHARD SPEEDUP REGRESSION: %d shards %.2fx < %.1fx\n",
-                     row.shards, row.speedup, floor);
-        if (assert_shards) shards_ok = false;
-      }
-    }
-  }
-
   // Host-dependent rates live in files only.
   if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(out, "{\n  \"cells\": [\n");
@@ -347,32 +224,12 @@ int main(int argc, char** argv) {
             (2 * c + (is_grid ? 0 : 1)) + 1 == results.size() ? "" : ",");
       }
     }
-    std::fprintf(out, "  ],\n  \"shard_cells\": [\n");
-    for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-      const ShardRow& row = shard_rows[i];
-      std::fprintf(
-          out,
-          "    {\"shards\": %d, \"serial_wall_s\": %.3f, \"wall_s\": %.3f, "
-          "\"speedup\": %.2f, \"windows\": %.0f, \"messages\": %.0f, "
-          "\"migrations\": %.0f, \"deterministic\": %s, "
-          "\"matches_serial\": %s}%s\n",
-          row.shards, serial_wall, row.result.perf.wall_seconds, row.speedup,
-          row.result.metrics.value("shard.windows"),
-          row.result.metrics.value("shard.messages"),
-          row.result.metrics.value("shard.migrations"),
-          row.deterministic ? "true" : "false",
-          row.matches_serial ? "true" : "false",
-          i + 1 == shard_rows.size() ? "" : ",");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"pass\": %s,\n  \"wall_pass\": %s,\n"
-                 "  \"shard_pass\": %s\n}\n",
-                 ok ? "true" : "false", wall_ok ? "true" : "false",
-                 shards_ok ? "true" : "false");
+    std::fprintf(out, "  ],\n  \"pass\": %s,\n  \"wall_pass\": %s\n}\n",
+                 ok ? "true" : "false", wall_ok ? "true" : "false");
     std::fclose(out);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   }
   bench::maybe_write_perf_csv(cli, results);
-  return ok && shards_ok && (wall_ok || !assert_wall) ? 0 : 1;
+  return ok && (wall_ok || !assert_wall) ? 0 : 1;
 }

@@ -9,8 +9,6 @@
 // bytes, which is the subsystem's determinism guarantee in executable form.
 
 #include <cstdio>
-#include <string_view>
-#include <thread>
 
 #include "bench/bench_util.hpp"
 #include "fault/fault.hpp"
@@ -51,36 +49,7 @@ std::string ttr_cell(const Cdf& ttr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Valueless flags are stripped before the declarative parser. With
-  // --assert-shards a shard-axis digest mismatch fails the bench instead
-  // of only printing the divergence.
-  bool assert_shards = false;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--assert-shards") {
-      assert_shards = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  std::vector<int> shard_counts;
-  const auto cli = bench::parse_sweep_cli(
-      static_cast<int>(args.size()), args.data(),
-      {{"--shards", "LIST",
-        "comma-separated shard counts for the faulted formation axis",
-        [&shard_counts](const std::string& v) {
-          for (std::size_t at = 0; at < v.size();) {
-            const std::size_t comma = std::min(v.find(',', at), v.size());
-            const int n = std::atoi(v.substr(at, comma - at).c_str());
-            if (n < 1 || n > 64) {
-              std::fprintf(stderr, "--shards entries must lie in [1, 64]\n");
-              std::exit(2);
-            }
-            shard_counts.push_back(n);
-            at = comma + 1;
-          }
-        }}});
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Extension — resilience under injected faults",
                 "blackouts, flaps, DHCP stalls/NAKs, burst loss; fixed seed");
 
@@ -152,101 +121,4 @@ int main(int argc, char** argv) {
       "outages. Single-association stacks rejoin quickly but every fault\n"
       "on the current AP is a guaranteed outage, so their count grows\n"
       "with intensity.\n");
-
-  // Shard axis: the faulted spider cell re-run under the sharded engine.
-  // A shorter timeline than the headline table keeps the tier-1 smoke leg
-  // quick; the digest covers every resilience counter and the full TTR
-  // sample vector, so a pass means the fault subsystem reproduced exactly
-  // across engines, not statistically. Wall-clock speedups are
-  // host-dependent and go to stderr only.
-  bool shards_ok = true;
-  if (!shard_counts.empty()) {
-    const Time shard_duration = sec(120);
-    auto base_cfg = bench::town_scenario(/*seed=*/4242);
-    base_cfg.duration = shard_duration;
-    base_cfg.speed_mps = 1.5;
-    base_cfg.deployment.road_length_m = 300;
-    base_cfg.deployment.aps_per_km = 20;
-    base_cfg.dhcp_server.nak_unknown_requests = false;
-    base_cfg.driver = trace::DriverKind::kSpider;
-    base_cfg.spider = bench::tuned_spider();
-    base_cfg.spider.mode = core::OperationMode::equal_split({1, 6, 11},
-                                                            msec(600));
-    base_cfg.impairments =
-        trace::ImpairmentSource::synthetic(make_schedule(8, shard_duration));
-
-    auto serial_opts = cli.sweep;
-    serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
-    const auto baseline = shard_runner.run({base_cfg})[0];
-    const double serial_wall = baseline.perf.wall_seconds;
-
-    std::printf("\nshard axis, faulted spider cell (serial: %llu faults, "
-                "%llu outages, %llu recovered)\n",
-                static_cast<unsigned long long>(baseline.faults_injected),
-                static_cast<unsigned long long>(baseline.outages),
-                static_cast<unsigned long long>(baseline.recoveries));
-    TextTable shard_table({"shards", "faults", "outages", "recovered",
-                           "kB/s", "rerun", "vs serial"});
-    for (const int s : shard_counts) {
-      trace::ScenarioConfig cfg = base_cfg;
-      cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
-      const bool deterministic = bench::fault_digest(pair[0]) == bench::fault_digest(pair[1]);
-      const bool matches_serial =
-          s != 1 || bench::fault_digest(pair[0]) == bench::fault_digest(baseline);
-      // Fault onsets are routed, never resampled: every width must inject
-      // the same schedule the serial engine does.
-      const bool same_faults =
-          pair[0].faults_injected == baseline.faults_injected;
-      shards_ok = shards_ok && deterministic && matches_serial && same_faults;
-      shard_table.add_row(
-          {std::to_string(s), std::to_string(pair[0].faults_injected),
-           std::to_string(pair[0].outages),
-           std::to_string(pair[0].recoveries),
-           TextTable::num(pair[0].avg_throughput_kBps, 1),
-           deterministic ? "identical" : "DIFF",
-           s == 1 ? (matches_serial ? "identical" : "DIFF")
-                  : (same_faults ? "same faults" : "DIFF")});
-      if (!deterministic) {
-        std::printf("SHARD RERUN DIVERGENCE at %d shards:\n  %s\n  %s\n", s,
-                    bench::fault_digest(pair[0]).c_str(),
-                    bench::fault_digest(pair[1]).c_str());
-      }
-      if (!matches_serial) {
-        std::printf("SHARDS=1 DIVERGED FROM SERIAL:\n  serial  %s\n"
-                    "  shards1 %s\n",
-                    bench::fault_digest(baseline).c_str(),
-                    bench::fault_digest(pair[0]).c_str());
-      }
-      if (!same_faults) {
-        std::printf("FAULT COUNT DIVERGENCE at %d shards: %llu vs serial "
-                    "%llu\n",
-                    s, static_cast<unsigned long long>(pair[0].faults_injected),
-                    static_cast<unsigned long long>(baseline.faults_injected));
-      }
-      const double speedup = pair[0].perf.wall_seconds > 0.0
-                                 ? serial_wall / pair[0].perf.wall_seconds
-                                 : 0.0;
-      std::fprintf(stderr, "shards=%d: wall %.3fs, speedup %.2fx\n", s,
-                   pair[0].perf.wall_seconds, speedup);
-      // Speedup floors only bind when the host can actually run the
-      // formation in parallel; single-core machines keep the determinism
-      // checks and get an informational note.
-      const unsigned cores = std::thread::hardware_concurrency();
-      if (s >= 4 && cores >= static_cast<unsigned>(s) && speedup < 1.5) {
-        std::fprintf(stderr,
-                     "SHARD SPEEDUP REGRESSION: %d shards %.2fx < 1.5x\n", s,
-                     speedup);
-        if (assert_shards) shards_ok = false;
-      } else if (s >= 4 && cores < static_cast<unsigned>(s)) {
-        std::fprintf(stderr,
-                     "shards=%d speedup gate skipped: %u core(s) available\n",
-                     s, cores);
-      }
-    }
-    shard_table.print(std::cout);
-    std::printf("shard digest checks: %s\n", shards_ok ? "PASS" : "FAIL");
-  }
-  return shards_ok ? 0 : 1;
 }

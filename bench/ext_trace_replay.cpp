@@ -16,16 +16,12 @@
 //   --smoke                 short deployment for the trace-replay-smoke test
 //   --resilience-csv PATH   per-run resilience digest (deterministic CSV)
 //   --write-sample PATH     re-emit the ingested trace in canonical CSV form
-//   --shards LIST           re-run the replayed spider cell sharded: rerun
-//                           determinism + width-invariant fault counts are
-//                           asserted in-bench, speedup goes to stderr
 
 #include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.hpp"
 #include "tracein/occupancy.hpp"
@@ -85,25 +81,10 @@ int main(int argc, char** argv) {
   std::string write_sample;
   tracein::ReplayOptions replay;
   bool smoke = false;
-  std::vector<int> shard_counts;
   const auto cli = bench::parse_sweep_cli(
       argc, argv,
       {{"--trace", "PATH", "occupancy recording to replay (CSV or JSONL)",
         [&](const std::string& v) { trace_path = v; }},
-       {"--shards", "LIST",
-        "comma-separated shard counts for the replayed-cell shard axis",
-        [&shard_counts](const std::string& v) {
-          for (std::size_t at = 0; at < v.size();) {
-            const std::size_t comma = std::min(v.find(',', at), v.size());
-            const int n = std::atoi(v.substr(at, comma - at).c_str());
-            if (n < 1 || n > 64) {
-              std::fprintf(stderr, "--shards entries must lie in [1, 64]\n");
-              std::exit(2);
-            }
-            shard_counts.push_back(n);
-            at = comma + 1;
-          }
-        }},
        {"--mapping", "NAME",
         "occupancy -> loss mapping: interference | burst",
         [&](const std::string& v) {
@@ -209,82 +190,4 @@ int main(int argc, char** argv) {
       "the saturation burst on channel 6 by leaning on its concurrent\n"
       "links on 1/11; single-association stacks camped on the impaired\n"
       "channel take the full outage until their prober gives up.\n");
-
-  // Shard axis: the replayed spider cell (configs[1]) re-run under the
-  // sharded engine. Per width: rerun determinism on the full resilience
-  // digest, shards=1 identity with the serial engine, and width-invariant
-  // fault counts — the compiled trace schedule is routed, never resampled.
-  // Cross-width byte equality is impossible by design (per-shard event
-  // streams), so those three invariants are the asserted surface. Walls
-  // are host-dependent and go to stderr only.
-  bool shards_ok = true;
-  if (!shard_counts.empty()) {
-    const trace::ScenarioConfig& base_cfg = configs[1];
-    auto serial_opts = cli.sweep;
-    serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
-    const auto baseline = shard_runner.run({base_cfg})[0];
-    const double serial_wall = baseline.perf.wall_seconds;
-
-    std::printf("\nshard axis, spider +trace cell (serial: %llu faults, "
-                "%llu outages, %llu recovered)\n",
-                static_cast<unsigned long long>(baseline.faults_injected),
-                static_cast<unsigned long long>(baseline.outages),
-                static_cast<unsigned long long>(baseline.recoveries));
-    TextTable shard_table({"shards", "faults", "outages", "recovered",
-                           "kB/s", "rerun", "vs serial"});
-    for (const int s : shard_counts) {
-      trace::ScenarioConfig cfg = base_cfg;
-      cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
-      const bool deterministic =
-          bench::fault_digest(pair[0]) == bench::fault_digest(pair[1]);
-      const bool matches_serial =
-          s != 1 ||
-          bench::fault_digest(pair[0]) == bench::fault_digest(baseline);
-      const bool same_faults =
-          pair[0].faults_injected == baseline.faults_injected;
-      shards_ok = shards_ok && deterministic && matches_serial && same_faults;
-      shard_table.add_row(
-          {std::to_string(s), std::to_string(pair[0].faults_injected),
-           std::to_string(pair[0].outages),
-           std::to_string(pair[0].recoveries),
-           TextTable::num(pair[0].avg_throughput_kBps, 1),
-           deterministic ? "identical" : "DIFF",
-           s == 1 ? (matches_serial ? "identical" : "DIFF")
-                  : (same_faults ? "same faults" : "DIFF")});
-      if (!deterministic) {
-        std::printf("SHARD RERUN DIVERGENCE at %d shards:\n  %s\n  %s\n", s,
-                    bench::fault_digest(pair[0]).c_str(),
-                    bench::fault_digest(pair[1]).c_str());
-      }
-      if (!matches_serial) {
-        std::printf("SHARDS=1 DIVERGED FROM SERIAL:\n  serial  %s\n"
-                    "  shards1 %s\n",
-                    bench::fault_digest(baseline).c_str(),
-                    bench::fault_digest(pair[0]).c_str());
-      }
-      if (!same_faults) {
-        std::printf("FAULT COUNT DIVERGENCE at %d shards: %llu vs serial "
-                    "%llu\n",
-                    s, static_cast<unsigned long long>(pair[0].faults_injected),
-                    static_cast<unsigned long long>(baseline.faults_injected));
-      }
-      const double speedup = pair[0].perf.wall_seconds > 0.0
-                                 ? serial_wall / pair[0].perf.wall_seconds
-                                 : 0.0;
-      std::fprintf(stderr, "shards=%d: wall %.3fs, speedup %.2fx\n", s,
-                   pair[0].perf.wall_seconds, speedup);
-      if (s >= 4 &&
-          std::thread::hardware_concurrency() < static_cast<unsigned>(s)) {
-        std::fprintf(stderr,
-                     "shards=%d speedup informational: fewer cores than "
-                     "shards on this host\n",
-                     s);
-      }
-    }
-    shard_table.print(std::cout);
-    std::printf("shard digest checks: %s\n", shards_ok ? "PASS" : "FAIL");
-  }
-  return shards_ok ? 0 : 1;
 }

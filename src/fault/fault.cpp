@@ -65,76 +65,13 @@ bool is_channel_fault(FaultKind kind) {
 
 }  // namespace
 
-FaultScope fault_scope(const FaultSpec& spec) {
-  if (is_channel_fault(spec.kind)) return FaultScope::kChannel;
-  return spec.target < 0 ? FaultScope::kGlobal : FaultScope::kEntity;
-}
-
 std::uint64_t fault_stream_seed(std::uint64_t scenario_seed) {
   // Splitmix finalizer under a fixed salt: decoupled from every
-  // assembly-order fork chain so serial and sharded engines derive the
-  // same injector master from the same scenario seed.
+  // assembly-order fork chain.
   std::uint64_t z = scenario_seed + 0xD1B54A32D192ED03ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-std::vector<std::vector<RoutedFault>> partition_schedule(
-    const FaultSchedule& schedule, Rng master, const FaultRouter& router) {
-  const int shards = std::max(1, router.shards);
-  std::vector<std::vector<RoutedFault>> out(static_cast<std::size_t>(shards));
-
-  // Shards owning at least one AP, ascending: the replication set for
-  // global specs. The smallest owner is the onset accountant.
-  std::vector<int> ap_shards;
-  if (router.ap_owner) {
-    for (std::size_t g = 0; g < router.total_aps; ++g) {
-      const int s = router.ap_owner(g).first;
-      if (std::find(ap_shards.begin(), ap_shards.end(), s) == ap_shards.end()) {
-        ap_shards.push_back(s);
-      }
-    }
-    std::sort(ap_shards.begin(), ap_shards.end());
-  }
-
-  for (const FaultSpec& spec : schedule.specs()) {
-    // One fork per spec in schedule order, before any routing decision —
-    // the serial arm()'s exact discipline — so the stream a spec receives
-    // is independent of where (or whether) it lands.
-    Rng spec_rng = master.fork();
-    switch (fault_scope(spec)) {
-      case FaultScope::kChannel: {
-        const std::vector<int> owners =
-            router.channel_owners ? router.channel_owners(spec.target)
-                                  : std::vector<int>{0};
-        for (std::size_t i = 0; i < owners.size(); ++i) {
-          out[static_cast<std::size_t>(owners[i])].push_back(
-              {spec, spec_rng, i == 0});
-        }
-        break;
-      }
-      case FaultScope::kEntity: {
-        // No APs anywhere: the serial injector would skip the spec too.
-        if (router.total_aps == 0 || !router.ap_owner) break;
-        const auto [shard, local] = router.ap_owner(
-            static_cast<std::size_t>(spec.target) % router.total_aps);
-        FaultSpec local_spec = spec;
-        local_spec.target = local;
-        out[static_cast<std::size_t>(shard)].push_back(
-            {local_spec, spec_rng, true});
-        break;
-      }
-      case FaultScope::kGlobal: {
-        for (std::size_t i = 0; i < ap_shards.size(); ++i) {
-          out[static_cast<std::size_t>(ap_shards[i])].push_back(
-              {spec, spec_rng, i == 0});
-        }
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 FaultInjector::FaultInjector(sim::Simulator& simulator, Rng rng)
@@ -175,20 +112,12 @@ void FaultInjector::for_targets(const FaultSpec& spec, F&& f) {
 void FaultInjector::arm(const FaultSchedule& schedule) {
   for (const FaultSpec& spec : schedule.specs()) {
     // One fork per spec in schedule order, before the skip decisions, so a
-    // skipped spec never shifts a later spec's dwell stream and the sharded
-    // router (which forks in the same order) hands out identical streams.
-    Rng spec_rng = rng_.fork();
-    arm_one(spec, std::move(spec_rng), /*count_onset=*/true);
+    // skipped spec never shifts a later spec's dwell stream.
+    arm_one(spec, rng_.fork());
   }
 }
 
-void FaultInjector::arm_routed(std::vector<RoutedFault> routed) {
-  for (RoutedFault& rf : routed) {
-    arm_one(rf.spec, std::move(rf.rng), rf.count_onset);
-  }
-}
-
-void FaultInjector::arm_one(const FaultSpec& spec, Rng rng, bool count_onset) {
+void FaultInjector::arm_one(const FaultSpec& spec, Rng rng) {
   // Skip specs whose target layer was never registered: a schedule can be
   // reused across topologies (e.g. a medium-only test ignores AP faults).
   if (is_channel_fault(spec.kind)) {
@@ -202,7 +131,7 @@ void FaultInjector::arm_one(const FaultSpec& spec, Rng rng, bool count_onset) {
 
   const std::size_t index = log_.size();
   log_.push_back(InjectedFault{spec});
-  armed_.push_back({std::move(rng), count_onset});
+  spec_rngs_.push_back(std::move(rng));
   sim_.post_at(spec.at, [this, index] { begin(index); });
 }
 
@@ -211,10 +140,7 @@ void FaultInjector::begin(std::size_t log_index) {
   const FaultSpec& spec = entry.spec;
   entry.started = sim_.now();
   entry.active = true;
-  // Onset accounting follows the accountant flag: in a formation exactly
-  // one shard counts a replicated spec, so per-shard sums equal the serial
-  // injector's counts (the merge_shard contract).
-  if (armed_[log_index].count_onset) ++injected_;
+  ++injected_;
   ++active_;
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kFaultBegin,
                .aux = static_cast<std::uint8_t>(spec.kind),
@@ -223,7 +149,7 @@ void FaultInjector::begin(std::size_t log_index) {
                .track = obs::track::fault(),
                .id = static_cast<std::uint64_t>(spec.target),
                .value = to_seconds(spec.duration));
-  if (observer_ && armed_[log_index].count_onset) observer_(spec);
+  if (observer_) observer_(spec);
 
   switch (spec.kind) {
     case FaultKind::kChannelBurstLoss:
@@ -332,9 +258,7 @@ void FaultInjector::burst_tick(std::size_t log_index, bool bad) {
   }
 
   const Time mean = bad ? spec.burst_mean : spec.gap_mean;
-  // Dwells come from the spec's own stream, so a replicated burst walks the
-  // identical good/bad timeline on every shard holding a copy.
-  Rng& rng = armed_[log_index].rng;
+  Rng& rng = spec_rngs_[log_index];
   const Time dwell = sec(rng.exponential(to_seconds(std::max(mean, usec(1)))));
   const Time next = std::min(sim_.now() + std::max(dwell, usec(1)), fault_end);
   sim_.post_at(next, [this, log_index, bad] { burst_tick(log_index, !bad); });

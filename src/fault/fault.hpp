@@ -152,51 +152,12 @@ struct InjectedFault {
   bool active = false;
 };
 
-/// Routing class of a spec (DESIGN.md §12, fault routing across shards):
-/// channel faults follow the channel's stripe owners, entity faults follow
-/// the target AP's owner shard, global faults (target < 0) replicate to
-/// every AP-bearing shard.
-enum class FaultScope { kChannel, kEntity, kGlobal };
-FaultScope fault_scope(const FaultSpec& spec);
-
 /// The fault subsystem's RNG root for a scenario: a splitmix scramble of
-/// the scenario seed under a fixed salt. Both engines derive the injector
-/// master from this — never from assembly-order forks — so a spec's dwell
-/// stream is a pure function of (scenario seed, position in the schedule)
-/// and identical whether the serial engine or any shard replays it.
+/// the scenario seed under a fixed salt. The injector master derives from
+/// this — never from assembly-order forks — so a spec's dwell stream is a
+/// pure function of (scenario seed, position in the schedule), whatever
+/// else the testbed forks while it is assembled.
 std::uint64_t fault_stream_seed(std::uint64_t scenario_seed);
-
-/// One spec as routed to one shard of a formation: the spec (entity
-/// targets rewritten to the shard's local AP index), the per-spec RNG
-/// stream (identical copies on every shard sharing the spec), and whether
-/// this shard is the spec's onset accountant. Exactly one shard per spec
-/// counts it toward injected()/the fault observer, so resilience counters
-/// exact-sum across a formation like PerfCounters::merge_shard.
-struct RoutedFault {
-  FaultSpec spec;
-  Rng rng;
-  bool count_onset = true;
-};
-
-/// Shard-routing callbacks supplied by the engine (stripe ownership and AP
-/// placement live in phy/trace, not here).
-struct FaultRouter {
-  int shards = 1;
-  /// Deployment-global AP population size (entity targets reduce mod this).
-  std::size_t total_aps = 0;
-  /// Every shard owning a stripe of `channel` (deduplicated; the first
-  /// entry becomes the onset accountant).
-  std::function<std::vector<int>(int channel)> channel_owners;
-  /// Owner shard and shard-local injector index of deployment-global AP g.
-  std::function<std::pair<int, int>(std::size_t global_ap)> ap_owner;
-};
-
-/// Compiles a schedule into per-shard sub-schedules at partition time.
-/// Forks `master` once per spec in schedule order — the serial injector's
-/// exact fork discipline — so serial and every formation width hand each
-/// spec the identical stream regardless of where it routes.
-std::vector<std::vector<RoutedFault>> partition_schedule(
-    const FaultSchedule& schedule, Rng master, const FaultRouter& router);
 
 /// Drives a FaultSchedule against live simulation objects.
 ///
@@ -204,9 +165,8 @@ std::vector<std::vector<RoutedFault>> partition_schedule(
 /// network); arm() schedules every start/stop transition on the simulator.
 /// All randomness (burst dwells) comes from per-spec streams forked off the
 /// injector's own Rng in schedule order, so adding faults never perturbs
-/// the stochastic streams of the stack under test, skipped specs never
-/// shift a later spec's dwells, and a spec replays the identical timeline
-/// wherever it is armed — serial or any shard of a formation.
+/// the stochastic streams of the stack under test and skipped specs never
+/// shift a later spec's dwells.
 class FaultInjector {
  public:
   FaultInjector(sim::Simulator& simulator, Rng rng);
@@ -225,10 +185,6 @@ class FaultInjector {
 
   /// Schedules the whole timeline. May be called once per injector.
   void arm(const FaultSchedule& schedule);
-  /// Schedules one shard's slice of a partitioned timeline (see
-  /// partition_schedule). Specs arrive with their per-spec RNG streams
-  /// already forked; onset accounting follows each entry's count_onset.
-  void arm_routed(std::vector<RoutedFault> routed);
 
   const std::vector<InjectedFault>& log() const { return log_; }
   std::uint64_t injected() const { return injected_; }
@@ -239,12 +195,6 @@ class FaultInjector {
     mac::AccessPoint* ap;
     net::ApNetwork* network;
   };
-  /// Per-armed-spec state riding next to the log entry: the spec's own
-  /// dwell stream and whether this injector accounts its onset.
-  struct Armed {
-    Rng rng;
-    bool count_onset = true;
-  };
 
   ApTarget* resolve_ap(int target);
   bool any_applicable(const FaultSpec& spec) const;
@@ -252,7 +202,7 @@ class FaultInjector {
   /// global (target < 0) spec.
   template <typename F>
   void for_targets(const FaultSpec& spec, F&& f);
-  void arm_one(const FaultSpec& spec, Rng rng, bool count_onset);
+  void arm_one(const FaultSpec& spec, Rng rng);
   void begin(std::size_t log_index);
   void end(std::size_t log_index);
   /// One Gilbert-Elliott state transition; re-arms itself until the
@@ -265,7 +215,8 @@ class FaultInjector {
   std::vector<ApTarget> aps_;
   std::function<void(const FaultSpec&)> observer_;
   std::vector<InjectedFault> log_;
-  std::vector<Armed> armed_;
+  /// Each armed spec's own dwell stream, parallel to log_.
+  std::vector<Rng> spec_rngs_;
   std::uint64_t injected_ = 0;
   std::uint64_t active_ = 0;
 };

@@ -8,7 +8,6 @@
 
 #include "obs/tracer.hpp"
 #include "phy/radio.hpp"
-#include "phy/shard_link.hpp"
 
 namespace spider::phy {
 
@@ -309,7 +308,7 @@ void Medium::refresh_mobile_buckets(wire::Channel channel) {
     // entirely. Its lanes go stale; the transmit loop re-samples it lazily
     // iff it actually turns up as a candidate.
     if (now < s.safe_until) continue;
-    const Position pos = slot_position(s);
+    const Position pos = s.radio->position();
     s.pos_stamp = now;
     if (pos.x >= s.qx0 && pos.x < s.qx1 && pos.y >= s.qy0 && pos.y < s.qy1) {
       // Strictly inside the shrunken cell box — same cell, proven without
@@ -423,25 +422,12 @@ std::uint32_t Medium::allocate_slot() {
   return slot;
 }
 
-Position Medium::slot_position(const Slot& s) const {
-  return s.proxy != nullptr ? s.proxy->pos_at(sim_.now())
-                            : s.radio->position();
-}
-
 void Medium::attach(Radio& radio) {
   const std::uint32_t slot = allocate_slot();
   Slot& s = slots_[slot];
   s.radio = &radio;
   s.attach_seq = next_attach_seq_++;
   radio.medium_slot_ = slot;
-  if (shard_link_ != nullptr && shard_link_->is_shadow(radio.mac())) {
-    // Client radio in a sharded formation: registered here (liveness,
-    // teardown) but its phy presence — cohort and grid membership — lives
-    // as a proxy slot on whichever shard owns its channel stripe.
-    s.shadow = true;
-    shard_link_->on_shadow_attach(radio);
-    return;
-  }
   cohort_insert(radio.channel(), slot);
   if (grid_enabled()) {
     s.max_speed = radio.config().max_speed_mps;
@@ -456,14 +442,6 @@ void Medium::detach(Radio& radio) {
   const std::uint32_t slot = radio.medium_slot_;
   assert(slot < slots_.size() && slots_[slot].radio == &radio);
   Slot& s = slots_[slot];
-  if (s.shadow) {
-    if (shard_link_ != nullptr) shard_link_->on_shadow_detach(radio);
-    s.shadow = false;
-    s.radio = nullptr;
-    ++s.generation;
-    free_slots_.push_back(slot);
-    return;
-  }
   cohort_remove(radio.channel(), slot);
   if (grid_enabled()) {
     grid_remove(radio.channel(), slot);
@@ -480,57 +458,7 @@ void Medium::detach(Radio& radio) {
   free_slots_.push_back(slot);
 }
 
-void Medium::proxy_attach(const ShardProxyDesc& desc) {
-  auto info = std::make_unique<ProxyInfo>();
-  info->gid = desc.gid;
-  info->channel = desc.channel;
-  info->addr_lo = desc.addr_lo;
-  info->addr_hi = desc.addr_hi;
-  info->pos_at = desc.pos_at;
-  const std::uint32_t slot = allocate_slot();
-  info->slot = slot;
-  Slot& s = slots_[slot];
-  s.proxy = info.get();
-  s.attach_seq = next_attach_seq_++;
-  cohort_insert(desc.channel, slot);
-  if (grid_enabled()) {
-    s.max_speed = desc.max_speed_mps;
-    s.safe_until = Time{0};
-    grid_insert(desc.channel, slot, info->pos_at(sim_.now()));
-    s.mobile = true;  // clients tour routes; their proxies move with them
-    mobiles(desc.channel).push_back(slot);
-  }
-  proxies_[desc.gid] = std::move(info);
-}
-
-void Medium::proxy_detach(std::uint64_t gid) {
-  const auto it = proxies_.find(gid);
-  if (it == proxies_.end()) return;  // depart raced a teardown: no-op
-  const ProxyInfo& info = *it->second;
-  const std::uint32_t slot = info.slot;
-  Slot& s = slots_[slot];
-  cohort_remove(info.channel, slot);
-  if (grid_enabled()) {
-    grid_remove(info.channel, slot);
-    if (s.mobile) {
-      auto& m = mobiles(info.channel);
-      m.erase(std::remove(m.begin(), m.end(), slot), m.end());
-      s.mobile = false;
-    }
-  }
-  s.proxy = nullptr;
-  // In-flight deliveries aimed at the departed proxy die on the stamp
-  // check, exactly like deliveries to a detached radio.
-  ++s.generation;
-  free_slots_.push_back(slot);
-  proxies_.erase(it);
-}
-
 void Medium::retune(Radio& radio, wire::Channel old_channel) {
-  if (slots_[radio.medium_slot_].shadow) {
-    shard_link_->on_shadow_retune(radio, old_channel);
-    return;
-  }
   cohort_remove(old_channel, radio.medium_slot_);
   cohort_insert(radio.channel(), radio.medium_slot_);
   if (grid_enabled()) {
@@ -553,39 +481,10 @@ Time Medium::airtime(std::size_t bytes, BitRate rate) {
 
 void Medium::transmit(Radio& sender, wire::Frame frame) {
   ++frames_sent_;
-  frame.channel = sender.channel();
-  const Position tx_pos = sender.position();
-  if (shard_link_ != nullptr) {
-    if (slots_[sender.medium_slot_].shadow) {
-      // Client radio in a sharded formation: the fan-out happens on the
-      // shard(s) owning its channel stripe, via mailbox. The transmit is
-      // counted here, where the radio lives, so frames_tx stays an exact
-      // sum across the formation.
-      shard_link_->on_shadow_transmit(sender, frame, tx_pos,
-                                      sender.config().phy_rate);
-      return;
-    }
-    // Native transmit near a stripe cut: mirror to adjacent-stripe shards
-    // (no-op sends when this shard owns the whole channel).
-    shard_link_->on_native_transmit(frame.channel, tx_pos, frame,
-                                    sender.config().phy_rate,
-                                    sender.mac().raw());
-  }
-  fanout(frame.channel, tx_pos, sim_.now(), sender.config().phy_rate,
-         std::move(frame), sender.medium_slot_, 0);
-}
-
-void Medium::inject_shard_fanout(wire::Channel channel, const Position& tx_pos,
-                                 Time t0, BitRate rate, wire::Frame frame,
-                                 std::uint64_t exclude_gid) {
+  const wire::Channel channel = sender.channel();
   frame.channel = channel;
-  fanout(channel, tx_pos, t0, rate, std::move(frame), kNoSenderSlot,
-         exclude_gid);
-}
-
-void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
-                    BitRate rate, wire::Frame&& frame,
-                    std::uint32_t sender_slot, std::uint64_t exclude_gid) {
+  const Position tx_pos = sender.position();
+  const std::uint32_t sender_slot = sender.medium_slot_;
   bool use_grid = grid_enabled();
   if (config_.neighbor_index == NeighborIndex::kAuto) {
     use_grid = auto_prefers_grid(channel);
@@ -604,15 +503,14 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
   } else {
     count = cohort(channel).size();
   }
-  // A local sender is always a member of its own candidate set (a remote
-  // injection has no local sender); checking before the subtraction keeps
-  // the examined counter exact and guards the empty set (size - 1 would
-  // wrap to ~2^64).
-  const std::size_t self = sender_slot != kNoSenderSlot ? 1 : 0;
-  if (count < self + 1) return;  // nobody else in earshot
-  candidates_examined_ += count - self;
+  // The sender is always a member of its own candidate set; checking before
+  // the subtraction keeps the examined counter exact and guards the empty
+  // set (size - 1 would wrap to ~2^64).
+  if (count < 2) return;  // nobody else in earshot
+  candidates_examined_ += count - 1;
 
-  const Time arrival = airtime(frame.size_bytes, rate);
+  const Time now = sim_.now();
+  const Time arrival = airtime(frame.size_bytes, sender.config().phy_rate);
   const double impairment = channel_impairment(channel);
 
   // One pooled body cell for every receiver; reception-time fields (rssi)
@@ -644,17 +542,9 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     const double p_loss = 1.0 - (1.0 - p_prop) * (1.0 - impairment);
 
     // Unicast frames to their addressee enjoy link-layer ARQ; everyone
-    // else (and all broadcast traffic) gets a single shot. A proxy owns
-    // exactly its client's MAC block (the address filter of the real
-    // radio programs only addresses from that block).
-    const Slot& rs = slots_[rx_slot];
-    bool arq = false;
-    if (!body.dst.is_broadcast()) {
-      arq = rs.proxy != nullptr
-                ? body.dst.raw() >= rs.proxy->addr_lo &&
-                      body.dst.raw() < rs.proxy->addr_hi
-                : rs.radio->owns_address(body.dst);
-    }
+    // else (and all broadcast traffic) gets a single shot.
+    const bool arq = !body.dst.is_broadcast() &&
+                     slots_[rx_slot].radio->owns_address(body.dst);
     const int attempts_allowed = arq ? 1 + config_.retry_limit : 1;
     int attempt = 1;
     while (attempt <= attempts_allowed && rng_.chance(p_loss)) ++attempt;
@@ -663,29 +553,17 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     const double rssi = propagation_.rssi_dbm_at(dist);
     ++bodies_[body_idx].refs;
     ++fanout_scheduled_;
-    // Each retry costs roughly one more airtime before the frame lands,
-    // measured from the *decision* time t0 — for a local transmit that is
-    // now, for a remote injection the sender's original timestamp, so the
-    // two schedules agree on absolute delivery times. The lookahead
-    // window guarantees t0 + airtime lands after the current drain point;
-    // the max() is a deterministic safety valve, never taken in practice.
+    // Each retry costs roughly one more airtime before the frame lands.
     // The receiver must still exist (radios detach from their destructor —
     // an AP can be torn down with frames in flight), be tuned and listening
     // when the frame ends; the (slot, generation) stamp checks that in O(1)
     // and cannot be fooled by a new radio at the old radio's address.
-    sim_.post_at(std::max(t0 + arrival * attempt, sim_.now()),
+    sim_.post_at(now + arrival * attempt,
                  [this, rx_slot, generation, body_idx, rssi] {
       const Slot& s = slots_[rx_slot];
       BodyCell& cell = bodies_[body_idx];
-      if (s.generation != generation ||
-          (s.radio == nullptr && s.proxy == nullptr)) {
+      if (s.generation != generation || s.radio == nullptr) {
         ++frames_dropped_at_rx_;
-      } else if (s.proxy != nullptr) {
-        // The loss draw happened here, where the cohort lives; the
-        // listening/channel gate and the delivered/dropped count happen at
-        // home, where the radio's true state lives.
-        cell.frame.rssi_dbm = rssi;
-        shard_link_->on_proxy_delivery(s.proxy->gid, cell.frame, rssi);
       } else if (!s.radio->listening() ||
                  s.radio->channel() != cell.frame.channel) {
         ++frames_dropped_at_rx_;
@@ -700,13 +578,6 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     });
   };
 
-  // Skips a remote sender's own proxy: a radio must not hear itself via
-  // its stand-in (cost-free in serial runs, where exclude_gid is 0).
-  const auto is_excluded = [&](const Slot& s) {
-    return exclude_gid != 0 && s.proxy != nullptr &&
-           s.proxy->gid == exclude_gid;
-  };
-
   if (use_grid) {
     // Candidate positions come from the central per-slot lanes — fresh as
     // of this timestamp's sweep and bit-identical to position() — so an
@@ -715,15 +586,13 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     // horizon: its lanes are stale, so it is re-sampled here, on the few
     // slots that actually surface as candidates instead of the whole
     // channel roster.
-    const Time now = sim_.now();
     const std::size_t m = scratch_slots_.size();
     for (std::size_t i = 0; i < m; ++i) {
       const std::uint32_t rx_slot = scratch_slots_[i];
       if (rx_slot == sender_slot) continue;
       Slot& s = slots_[rx_slot];
-      if (is_excluded(s)) continue;
       if (s.mobile && s.pos_stamp != now) {
-        const Position rx_pos = slot_position(s);
+        const Position rx_pos = s.radio->position();
         pos_x_[rx_slot] = rx_pos.x;
         pos_y_[rx_slot] = rx_pos.y;
         s.pos_stamp = now;
@@ -735,8 +604,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     for (const std::uint32_t rx_slot : cohort(channel)) {
       if (rx_slot == sender_slot) continue;
       const Slot& s = slots_[rx_slot];
-      if (is_excluded(s)) continue;
-      const Position rx_pos = slot_position(s);
+      const Position rx_pos = s.radio->position();
       consider(rx_slot, rx_pos.x, rx_pos.y, s.generation);
     }
   }

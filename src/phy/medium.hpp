@@ -3,8 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -17,9 +15,7 @@
 namespace spider::phy {
 
 class Radio;
-class ShardLink;
 struct MediumTestPeer;
-struct ShardProxyDesc;
 
 /// How Medium::transmit finds candidate receivers on the sender's channel.
 enum class NeighborIndex {
@@ -172,41 +168,6 @@ class Medium {
     perf.grid_rebuckets += grid_rebuckets_;
   }
 
-  // --- sharded formations (DESIGN.md §12) ------------------------------
-  // With a ShardLink installed this medium is one shard of a partitioned
-  // city: client radios homed here become "shadows" (registered but absent
-  // from cohorts and grid — their phy presence lives on the shard owning
-  // their channel stripe), remote clients appear as proxy slots, and
-  // native transmissions near stripe cuts are mirrored to neighbours.
-  // With no link (every serial run) all of these paths are dead and the
-  // medium is byte-identical to the pre-shard engine.
-
-  /// Installs the formation adapter (not owned; null detaches). Must be
-  /// called before any radio attaches.
-  void set_shard_link(ShardLink* link) { shard_link_ = link; }
-  ShardLink* shard_link() const { return shard_link_; }
-
-  /// Materialises / tears down a remote client's proxy slot on this shard.
-  /// Called via mailbox thunks on this medium's shard thread.
-  void proxy_attach(const ShardProxyDesc& desc);
-  void proxy_detach(std::uint64_t gid);
-
-  /// Remote fan-out: replays the local transmit tail (range gate, loss
-  /// draws, delivery scheduling) for a frame transmitted on another shard
-  /// at decision time `t0` from `tx_pos`. `exclude_gid` skips the sender's
-  /// own proxy, mirroring the local loop's sender skip.
-  void inject_shard_fanout(wire::Channel channel, const Position& tx_pos,
-                           Time t0, BitRate rate, wire::Frame frame,
-                           std::uint64_t exclude_gid);
-
-  /// Home-side bookkeeping for a delivery forwarded from a proxy: the
-  /// owning shard drew the loss, this (home) shard applied the radio's
-  /// listening/channel state. Keeps delivered/dropped exact sums across
-  /// the formation.
-  void note_forwarded_delivery(bool delivered) {
-    ++(delivered ? frames_delivered_ : frames_dropped_at_rx_);
-  }
-
  private:
   friend class Radio;
   /// Test-only backdoor (tests/test_spatial_index.cpp): corrupts private
@@ -214,29 +175,12 @@ class Medium {
   /// candidate-set counter guard.
   friend struct MediumTestPeer;
 
-  /// A remote client's standing on this shard: enough state to stand in
-  /// for the real radio in the transmit loop (position, ARQ address range)
-  /// and to forward survivors home. Owned by proxies_; slots point here.
-  struct ProxyInfo {
-    std::uint64_t gid = 0;
-    wire::Channel channel = 1;
-    std::uint64_t addr_lo = 0, addr_hi = 0;  ///< unicast ownership [lo, hi)
-    std::function<Position(Time)> pos_at;
-    std::uint32_t slot = 0;
-  };
-
   /// Slot registry entry. `generation` bumps on every attach *and* detach,
   /// so an in-flight delivery stamped with (slot, generation) can tell a
   /// still-attached receiver from any later tenant of the same slot — even
   /// one allocated at the detached radio's exact address.
   struct Slot {
     Radio* radio = nullptr;
-    /// Remote client stand-in (sharded formations only; see ProxyInfo).
-    /// Mutually exclusive with `radio`.
-    ProxyInfo* proxy = nullptr;
-    /// Client radio homed on this shard whose phy presence lives on the
-    /// channel-owning shard: registered (liveness, id) but in no cohort.
-    bool shadow = false;
     std::uint32_t generation = 0;
     std::uint64_t attach_seq = 0;  ///< global attach order, for RNG stability
     std::uint64_t cell = 0;        ///< packed grid cell currently bucketed in
@@ -291,21 +235,6 @@ class Medium {
 
   /// Allocates (or recycles) a registry slot and bumps its generation.
   std::uint32_t allocate_slot();
-  /// Candidate position regardless of kind: real radios sample their
-  /// position callback, proxies their time-parameterised stand-in.
-  Position slot_position(const Slot& s) const;
-  /// The shared transmit tail: candidate walk, range gate, loss draws,
-  /// delivery scheduling. Local transmits pass their own slot (skipped
-  /// without being counted, exactly the historical accounting) and t0 ==
-  /// now; remote injections pass kNoSenderSlot, the sender's gid (so its
-  /// own proxy is skipped) and the original decision time, preserved so a
-  /// forwarded fan-out schedules deliveries at the same absolute
-  /// timestamps the sender's shard would have.
-  static constexpr std::uint32_t kNoSenderSlot = 0xFFFFFFFFu;
-  void fanout(wire::Channel channel, const Position& tx_pos, Time t0,
-              BitRate rate, wire::Frame&& frame, std::uint32_t sender_slot,
-              std::uint64_t exclude_gid);
-
   // --- spatial grid (neighbor_index != kBruteForce) --------------------
 
   /// Flat SoA storage for one grid cell: member slots and their attach
@@ -455,10 +384,6 @@ class Medium {
 
   std::array<double, kFlatChannels> impairment_flat_{};
   std::unordered_map<wire::Channel, double> impairments_other_;
-
-  /// Sharded formations only (null in every serial run).
-  ShardLink* shard_link_ = nullptr;
-  std::unordered_map<std::uint64_t, std::unique_ptr<ProxyInfo>> proxies_;
 
   /// One transmitted frame body shared by its whole fan-out. `refs` counts
   /// scheduled deliveries still in flight (non-atomic: the medium lives on

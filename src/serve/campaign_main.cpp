@@ -4,7 +4,7 @@
 //                   [--first-seed N] [--conns N] [--deadline-ms X]
 //                   [--timeout-ms X] [--max-attempts N] [--journal PATH]
 //                   [--scenario-json JSON] [--duration-s X] [--speed-mps X]
-//                   [--clients N] [--shards N] [--trace PATH]
+//                   [--clients N] [--trace PATH]
 //                   [--check-serial]
 //
 // Shards seeds first-seed .. first-seed+N-1 across the given servers,
@@ -45,7 +45,7 @@ void on_signal(int) { g_cancel.request_cancel(); }
       "          [--first-seed N] [--conns N] [--deadline-ms X]\n"
       "          [--timeout-ms X] [--max-attempts N] [--journal PATH]\n"
       "          [--scenario-json JSON] [--duration-s X] [--speed-mps X]\n"
-      "          [--clients N] [--shards N] [--trace PATH]\n"
+      "          [--clients N] [--trace PATH]\n"
       "          [--check-serial]\n",
       argv0);
   std::exit(2);
@@ -115,11 +115,6 @@ int main(int argc, char** argv) {
       config.base.speed_mps = parse_number(argv[0], flag, value());
     } else if (std::strcmp(flag, "--clients") == 0) {
       config.base.clients =
-          static_cast<int>(parse_number(argv[0], flag, value()));
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      // 0 = auto, 1 = serial, >1 = forced formation width; range-checked
-      // by validate() below like every other scenario field.
-      config.base.shards =
           static_cast<int>(parse_number(argv[0], flag, value()));
     } else if (std::strcmp(flag, "--check-serial") == 0) {
       check_serial = true;

@@ -69,30 +69,6 @@ struct PerfCounters {
     sim_seconds += other.sim_seconds;
     wall_seconds += other.wall_seconds;
   }
-
-  /// Merge for the shards of ONE run. Totals add exactly like merge(), but
-  /// with two deliberate differences: the heap peaks *sum* (the per-shard
-  /// event heaps coexist in memory, so the run's footprint is their total,
-  /// not their max), and the simulated horizon takes the max instead of
-  /// adding (the shards advance the same clock in parallel — summing would
-  /// overstate the horizon S-fold and hide the very speedup sharding
-  /// exists to deliver; with the max, sim_rate() > 1 means the formation
-  /// outran real time). Wall-clock is stamped once by the coordinator and
-  /// left alone here.
-  void merge_shard(const PerfCounters& other) {
-    events_popped += other.events_popped;
-    events_cancelled += other.events_cancelled;
-    heap_peak += other.heap_peak;
-    compactions += other.compactions;
-    handles_allocated += other.handles_allocated;
-    callbacks_heap += other.callbacks_heap;
-    frames_tx += other.frames_tx;
-    frames_fanout += other.frames_fanout;
-    radio_candidates += other.radio_candidates;
-    grid_cells_scanned += other.grid_cells_scanned;
-    grid_rebuckets += other.grid_rebuckets;
-    if (other.sim_seconds > sim_seconds) sim_seconds = other.sim_seconds;
-  }
 };
 
 }  // namespace spider::sim

@@ -80,15 +80,6 @@ class Simulator {
   /// same ids regardless of what else the process has run.
   std::uint64_t allocate_id() { return ++next_id_; }
 
-  /// Re-bases the id allocator. Sharded runs give each shard's simulator a
-  /// disjoint base (shard index in the top bits) so ids stay globally
-  /// unique across the formation — the per-shard download servers key
-  /// senders by connection id alone. Call before any allocation.
-  void seed_ids(std::uint64_t base) {
-    assert(next_id_ == 0);
-    next_id_ = base;
-  }
-
   /// Engine counters so far: event-queue totals plus the simulated horizon.
   /// Wall-clock fields are zero; the caller timing the run fills them.
   PerfCounters perf() const {

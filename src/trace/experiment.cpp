@@ -53,14 +53,6 @@ void digest_join_log(ScenarioResult& result) {
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
                                 sim::CancelToken* cancel) {
-  // Formations of more than one shard take the sharded twin (one testbed
-  // per shard, lockstep windows). Impairment sources ride along: the
-  // schedule is compiled into per-shard sub-schedules at partition time
-  // (fault::partition_schedule, DESIGN.md §12).
-  const int shards = resolve_shards(config);
-  if (shards > 1) {
-    return execute_scenario_sharded(config, shards, std::move(tracer), cancel);
-  }
   const auto wall_start = std::chrono::steady_clock::now();
   TestbedConfig tb_config;
   tb_config.seed = config.seed;
@@ -142,8 +134,8 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // ones ingest + compile here). The injector master derives from the
   // scenario seed under a fixed salt — never from the testbed's fork chain
   // (whose position depends on AP/client counts) — so per-spec dwell
-  // streams match the sharded engine's partition_schedule exactly, and
-  // impairment-free scenarios replay the exact pre-fault streams.
+  // streams depend only on (seed, schedule), and impairment-free scenarios
+  // replay the exact pre-fault streams.
   fault::FaultSchedule faults;
   if (!config.impairments.none()) {
     std::string error;
@@ -171,8 +163,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
         });
     injector->arm(faults);
     // Link events carry the client identity (the MAC block, shared by the
-    // radio and every interface in it), keeping outage detection per client
-    // — the same bookkeeping a formation does shard-by-shard.
+    // radio and every interface in it), keeping outage detection per client.
     harness.set_extra_callbacks({
         .on_link_up =
             [&resilience, &sim = bed.sim](core::VirtualInterface& vif) {

@@ -76,20 +76,6 @@ struct ScenarioConfig {
   net::DhcpServerConfig dhcp_server;
   Time backhaul_delay = msec(10);
 
-  /// Intra-run parallelism (DESIGN.md §12): partition this one run's
-  /// radios across `shards` event loops synchronized conservatively by
-  /// channel/stripe ownership. 1 (default) is the plain serial engine,
-  /// byte-identical to every pre-shard build; 0 resolves automatically
-  /// from the workload (machine-independent, so results stay reproducible
-  /// across hosts); >1 forces a formation of that width. Sharded results
-  /// are deterministic per (config, seed, shards) but not byte-identical
-  /// across different shard counts. Impairment sources (synthetic or
-  /// trace-backed) run at any width: the schedule compiles into per-shard
-  /// sub-schedules at partition time (DESIGN.md §12, fault routing across
-  /// shards), with resilience counters exact-summing back to the serial
-  /// injector's.
-  int shards = 1;
-
   DriverKind driver = DriverKind::kSpider;
   core::SpiderConfig spider;     ///< stack for Spider and FatVAP
   base::StockConfig stock;
@@ -173,23 +159,6 @@ namespace detail {
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
                                 sim::CancelToken* cancel = nullptr);
-
-/// Shard count a config actually runs with: `shards` verbatim when >= 1,
-/// the workload-derived automatic choice when 0. Pure function of the
-/// config (never of the host), so auto-sharded results are reproducible
-/// across machines. ScenarioRunner divides its --jobs budget by the
-/// resolved width so a campaign of sharded runs never oversubscribes.
-int resolve_shards(const ScenarioConfig& config);
-
-/// The sharded twin of execute_scenario (experiment_sharded.cpp): one
-/// testbed per shard, APs on their stripe owners, clients homed round-robin
-/// with proxy presences on their channel owners, all advanced in lockstep
-/// by sim::ShardedSimulator. Dispatched to by execute_scenario when
-/// resolve_shards > 1.
-ScenarioResult execute_scenario_sharded(const ScenarioConfig& config,
-                                        int shards,
-                                        std::shared_ptr<obs::Tracer> tracer,
-                                        sim::CancelToken* cancel);
 
 /// Fills the join-log digests (attempted/assoc/dhcp/e2e) from result.join_log.
 void digest_join_log(ScenarioResult& result);

@@ -12,10 +12,10 @@ namespace spider::trace {
 
 /// The one declarative answer to "what impairs this run?". Before this
 /// existed the fault schedule, the (planned) trace path, and their knobs
-/// were scattered ad-hoc fields; every consumer (validate, the serial and
-/// sharded engines, the serve protocol, spider_campaign, benches) now
-/// reads this single source, so a recorded occupancy trace is a
-/// first-class scenario input everywhere a synthetic schedule is.
+/// were scattered ad-hoc fields; every consumer (validate, the engine,
+/// the serve protocol, spider_campaign, benches) now reads this single
+/// source, so a recorded occupancy trace is a first-class scenario input
+/// everywhere a synthetic schedule is.
 ///
 /// Three kinds:
 ///   kSynthetic       a hand-built fault::FaultSchedule (the historical
@@ -69,7 +69,7 @@ struct ImpairmentSource {
   /// True when this source can impair nothing: a synthetic empty schedule
   /// or an inline empty timeline. A trace file is never "none" without
   /// ingesting it, so it always counts as impairing (armed through the
-  /// injector — serial, or routed per shard in a formation).
+  /// injector).
   bool none() const {
     switch (kind) {
       case Kind::kSynthetic: return schedule.empty();

@@ -17,14 +17,6 @@ void ThroughputRecorder::finalize(Time end) {
   if (bins_.size() < bins_needed) bins_.resize(bins_needed, 0);
 }
 
-void ThroughputRecorder::merge(const ThroughputRecorder& other) {
-  if (bins_.size() < other.bins_.size()) bins_.resize(other.bins_.size(), 0);
-  for (std::size_t i = 0; i < other.bins_.size(); ++i) {
-    bins_[i] += other.bins_[i];
-  }
-  total_ += other.total_;
-}
-
 double ThroughputRecorder::average_throughput_kBps() const {
   if (bins_.empty()) return 0.0;
   const double seconds = static_cast<double>(bins_.size()) * to_seconds(bin_);
@@ -104,18 +96,10 @@ void ResilienceRecorder::note_link_down(Time now, std::uint64_t client) {
   }
 }
 
-void ResilienceRecorder::merge(const ResilienceRecorder& other) {
-  faults_ += other.faults_;
-  outages_ += other.outages_;
-  recoveries_ += other.recoveries_;
-  last_fault_ = std::max(last_fault_, other.last_fault_);
-  ttr_.insert(ttr_.end(), other.ttr_.begin(), other.ttr_.end());
-}
-
 Cdf ResilienceRecorder::time_to_recover() const {
-  // (time, client) is a total order over recoveries — the serial engine and
-  // any merged formation emit the identical sample vector, which the
-  // differential suites hash verbatim.
+  // (time, client) is a total order over recoveries, so the sample vector
+  // (which the resilience digests hash verbatim) never depends on the order
+  // simultaneous link-up events happened to run in.
   std::vector<TtrSample> sorted = ttr_;
   std::sort(sorted.begin(), sorted.end(),
             [](const TtrSample& a, const TtrSample& b) {

@@ -28,11 +28,6 @@ class ThroughputRecorder {
   /// Extends the timeline with trailing zero bins up to `end`.
   void finalize(Time end);
 
-  /// Adds `other`'s timeline bin-by-bin (same bin width required). Sharded
-  /// runs keep one recorder per shard — each fed only from its own event
-  /// loop — and merge them afterwards into the run's single timeline.
-  void merge(const ThroughputRecorder& other);
-
   std::uint64_t total_bytes() const { return total_; }
   std::size_t bins() const { return bins_.size(); }
   Time bin_width() const { return bin_; }
@@ -63,27 +58,21 @@ class ThroughputRecorder {
 /// is not an outage, and an outage still open at experiment end counts as
 /// unrecovered.
 ///
-/// Link events carry the client's deployment-global identity (the engines
-/// pass the MAC block), so outage detection is per client and independent
-/// of which event loop observes which client: a formation keeps one
-/// recorder per shard and merge()s them afterwards, and the totals
-/// exact-sum to the serial recorder's counts (the merge_shard contract).
+/// Link events carry the client's identity (the engine passes the MAC
+/// block), so outage detection is per client: one client losing its last
+/// link is an outage even while another client stays connected.
 class ResilienceRecorder {
  public:
   void note_fault(Time now);
   void note_link_up(Time now, std::uint64_t client = 0);
   void note_link_down(Time now, std::uint64_t client = 0);
 
-  /// Folds `other` in: counters add, recovery samples pool. Post-run only
-  /// (in-flight outage state does not transfer across recorders).
-  void merge(const ResilienceRecorder& other);
-
   std::uint64_t faults_injected() const { return faults_; }
   std::uint64_t outages() const { return outages_; }
   std::uint64_t recoveries() const { return recoveries_; }
   /// Seconds from losing the last link to the next link-up, ordered by
-  /// (recovery time, client) — a total order every engine reproduces, so
-  /// serial and merged sharded runs emit byte-identical sample vectors.
+  /// (recovery time, client): a total order, so simultaneous recoveries
+  /// sample in client order whatever order their events ran in.
   Cdf time_to_recover() const;
   Time last_fault_at() const { return last_fault_; }
 

@@ -1,6 +1,5 @@
 #include "trace/runner.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "trace/export.hpp"
@@ -16,16 +15,7 @@ ScenarioRunner::ScenarioRunner(RunnerOptions options)
 
 std::vector<ScenarioResult> ScenarioRunner::execute(
     const std::vector<ScenarioConfig>& expanded) const {
-  // One --jobs budget covers both parallelism axes: a campaign of sharded
-  // runs narrows the run pool by the widest formation it contains, so
-  // runs * shards never oversubscribes the configured budget.
-  std::size_t widest = 1;
-  for (const ScenarioConfig& config : expanded) {
-    widest = std::max(
-        widest, static_cast<std::size_t>(detail::resolve_shards(config)));
-  }
-  const std::size_t pool_jobs = std::max<std::size_t>(1, jobs_ / widest);
-  return util::parallel_map(pool_jobs, expanded.size(), [&](std::size_t i) {
+  return util::parallel_map(jobs_, expanded.size(), [&](std::size_t i) {
     // A tripped token skips runs that have not started yet — the sweep
     // returns promptly with every remaining slot marked incomplete
     // instead of grinding through the backlog after a ^C.

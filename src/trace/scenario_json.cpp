@@ -290,7 +290,6 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
      << ",\"duration_s\":" << json_number(to_seconds(config.duration))
      << ",\"speed_mps\":" << json_number(config.speed_mps)
      << ",\"clients\":" << config.clients
-     << ",\"shards\":" << config.shards
      << ",\"metrics_bin_s\":" << json_number(to_seconds(config.metrics_bin))
      << ",\"driver\":\"" << to_string(config.driver) << '"'
      << ",\"adaptive\":" << (config.adaptive ? "true" : "false")
@@ -405,10 +404,6 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
       out.speed_mps = value.number_or(-1.0);
     } else if (key == "clients") {
       out.clients = static_cast<int>(value.number_or(0.0));
-    } else if (key == "shards") {
-      // Non-numeric values resolve to -1 so validate() rejects them as
-      // invalid_config instead of silently running a different formation.
-      out.shards = static_cast<int>(value.number_or(-1.0));
     } else if (key == "metrics_bin_s") {
       out.metrics_bin = sec(value.number_or(0.0));
     } else if (key == "driver") {

@@ -18,7 +18,7 @@ Testbed::ApBundle& Testbed::add_ap(const ApSpec& spec) {
   mac_config.ssid = spec.ssid;
   mac_config.channel = spec.channel;
 
-  const auto index = spec.index ? *spec.index : next_subnet_++;
+  const std::uint64_t index = next_subnet_++;
   const wire::MacAddress bssid(0xA0'0000ULL + index);
   bundle.ap = std::make_unique<mac::AccessPoint>(
       sim, medium, bssid, spec.position, mac_config, rng_.fork());
@@ -40,7 +40,7 @@ Testbed::ApBundle& Testbed::add_ap(const ApSpec& spec) {
 }
 
 std::uint64_t Testbed::next_client_mac_block() {
-  return client_mac_block(next_client_block_++);
+  return 0xC0'0000ULL + 0x100ULL * next_client_block_++;
 }
 
 DownloadHarness::DownloadHarness(sim::Simulator& simulator,

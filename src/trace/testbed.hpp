@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,11 +45,6 @@ class Testbed {
     bool internet_connected = true;
     net::DhcpServerConfig dhcp;
     mac::ApConfig mac;
-    /// Explicit AP identity (BSSID 0xA00000+index, subnet 10.x.y.0/24).
-    /// Unset: assigned sequentially per testbed. Sharded formations pass
-    /// the deployment-global index so an AP keeps the identity it would
-    /// have in a serial run regardless of which shard hosts it.
-    std::optional<std::uint64_t> index;
   };
 
   struct ApBundle {
@@ -67,17 +61,8 @@ class Testbed {
   /// (bundles live in a deque).
   ApBundle& add_ap(const ApSpec& spec);
 
-  /// Base of the client MAC-address space; AP BSSIDs (0xA00000+) and
-  /// anything else live below it, so `mac >= kClientMacBase` classifies a
-  /// radio as a client (the sharded fabric's shadow predicate).
-  static constexpr std::uint64_t kClientMacBase = 0xC0'0000ULL;
-  /// MAC block of client `i` (radio + virtual interfaces): a deployment
-  /// -global identity, independent of which testbed builds the client.
-  static constexpr std::uint64_t client_mac_block(std::uint64_t i) {
-    return kClientMacBase + 0x100ULL * i;
-  }
-
-  /// Fresh MAC-address block for a client (radio + interfaces).
+  /// Fresh MAC-address block for a client (radio + interfaces). Client
+  /// blocks start at 0xC00000, above every AP BSSID (0xA00000+).
   std::uint64_t next_client_mac_block();
 
   wire::Ipv4 server_ip() const { return config_.server_ip; }

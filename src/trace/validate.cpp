@@ -2,7 +2,6 @@
 #include <string>
 #include <vector>
 
-#include "phy/shard_fabric.hpp"
 #include "trace/error.hpp"
 #include "trace/experiment.hpp"
 
@@ -197,17 +196,6 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
       issues.push_back({impairments.field_name(), error});
     }
   }
-
-  if (shards < 0 || shards > phy::kMaxShards) {
-    issues.push_back({"shards", "must lie in [0, " +
-                                    std::to_string(phy::kMaxShards) +
-                                    "] (0 = auto, 1 = serial)"});
-  }
-  // Impairment sources of every kind (synthetic schedule, trace file,
-  // inline timeline) are valid at any formation width: schedules compile
-  // into per-shard sub-schedules at partition time (fault routing across
-  // shards, DESIGN.md §12), so shards > 1 no longer pins a faulted run to
-  // the serial engine.
 
   return issues;
 }

@@ -16,7 +16,7 @@ namespace spider::tracein {
 /// This is the unit real monitors emit — a per-window duty cycle, not
 /// per-frame events — which is what makes recordings replayable: the
 /// window boundary is the finest granularity the replay can honour
-/// (DESIGN.md §13 discusses the sampling-granularity pitfall).
+/// (DESIGN.md §12 discusses the sampling-granularity pitfall).
 struct OccupancySample {
   Time at{0};
   wire::Channel channel = 0;

@@ -17,7 +17,7 @@ enum class ReplayMapping {
   /// Each sample window becomes one kChannelInterference fault: constant
   /// extra loss = occupancy * loss_scale over the window. Faithful to the
   /// recording's granularity — sub-window burstiness is averaged away
-  /// (the sampling-granularity pitfall, DESIGN.md §13).
+  /// (the sampling-granularity pitfall, DESIGN.md §12).
   kInterference,
   /// Each sample window becomes one kChannelBurstLoss fault whose
   /// Gilbert-Elliott dwells are sized so the expected busy fraction equals

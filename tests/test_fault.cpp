@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/spider_driver.hpp"
 #include "fault/fault.hpp"
 #include "trace/experiment.hpp"
+#include "trace/metrics.hpp"
 #include "trace/testbed.hpp"
 
 namespace spider {
@@ -168,6 +170,58 @@ TEST(Injector, ConstantInterferenceCombinesWithPropagation) {
   EXPECT_DOUBLE_EQ(medium.channel_impairment(11), 0.0);  // other channels clean
   sim.run_until(sec(6));
   EXPECT_DOUBLE_EQ(medium.channel_impairment(6), 0.0);
+}
+
+/// Channel 6's extra loss sampled every millisecond for 4 s under
+/// `schedule`, armed on an injector with no AP targets.
+std::vector<double> channel6_timeline(const fault::FaultSchedule& schedule) {
+  sim::Simulator sim;
+  phy::Medium medium(sim, phy::Propagation(phy::PropagationConfig{}), Rng(7));
+  fault::FaultInjector injector(sim, Rng(31));
+  injector.attach_medium(medium);
+  injector.arm(schedule);
+  std::vector<double> out;
+  for (Time t = msec(1); t <= sec(4); t += msec(1)) {
+    sim.run_until(t);
+    out.push_back(medium.channel_impairment(6));
+  }
+  return out;
+}
+
+TEST(Injector, SkippedSpecDoesNotShiftLaterDwellStreams) {
+  // Each spec forks its dwell stream in schedule order *before* the skip
+  // decision, so a spec dropped for want of a target hands the next spec
+  // the same stream an armed spec in its place would have.
+  fault::FaultSchedule skipped;
+  skipped.ap_blackout(sec(1), sec(1), 0)  // no AP registered: skipped
+      .burst_loss(sec(1), sec(2), 6, 0.9, msec(50), msec(50));
+  fault::FaultSchedule armed;
+  armed.burst_loss(sec(9), sec(1), 1, 0.9)  // armed, fires after the window
+      .burst_loss(sec(1), sec(2), 6, 0.9, msec(50), msec(50));
+  fault::FaultSchedule first;
+  first.burst_loss(sec(1), sec(2), 6, 0.9, msec(50), msec(50));
+
+  const std::vector<double> timeline = channel6_timeline(skipped);
+  EXPECT_EQ(timeline, channel6_timeline(armed));
+  // The burst really toggles, and on the second fork, not the first.
+  EXPECT_NE(std::count(timeline.begin(), timeline.end(), 0.9), 0);
+  EXPECT_NE(timeline, channel6_timeline(first));
+}
+
+TEST(Resilience, SimultaneousRecoveriesTieBreakOnClientId) {
+  // Clients 5 and 3 recover at the same instant with different outage
+  // lengths; 5's link-up runs first, but client id orders the tie.
+  trace::ResilienceRecorder recorder;
+  recorder.note_link_up(sec(1), 5);
+  recorder.note_link_up(sec(1), 3);
+  recorder.note_link_down(sec(2), 5);
+  recorder.note_link_down(sec(4), 3);
+  recorder.note_link_up(sec(6), 5);  // ttr 4 s
+  recorder.note_link_up(sec(6), 3);  // ttr 2 s
+  EXPECT_EQ(recorder.outages(), 2u);
+  EXPECT_EQ(recorder.recoveries(), 2u);
+  const std::vector<double> expect = {2.0, 4.0};
+  EXPECT_EQ(recorder.time_to_recover().samples(), expect);
 }
 
 TEST(Injector, InstantaneousFaultsLogAndClearImmediately) {

@@ -253,13 +253,18 @@ TEST(SweepCli, ParsesKnownFlagsInBothForms) {
 }
 
 TEST(SweepCli, BenchRegisteredFlagsApply) {
-  std::vector<std::string> args = {"bench", "--runs=7"};
+  // A flag with an empty value_name is a switch: it consumes no argument.
+  std::vector<std::string> args = {"bench", "--smoke", "--runs=7"};
   int runs = 0;
+  bool smoke = false;
   bench::parse_sweep_cli(
       static_cast<int>(args.size()), fake_argv(args),
       {{"--runs", "N", "repetitions",
-        [&runs](const std::string& v) { runs = std::atoi(v.c_str()); }}});
+        [&runs](const std::string& v) { runs = std::atoi(v.c_str()); }},
+       {"--smoke", "", "short run",
+        [&smoke](const std::string&) { smoke = true; }}});
   EXPECT_EQ(runs, 7);
+  EXPECT_TRUE(smoke);
 }
 
 using SweepCliDeathTest = ::testing::Test;
@@ -271,6 +276,14 @@ TEST(SweepCliDeathTest, TrailingJobsWithoutValueIsAnError) {
   EXPECT_EXIT(
       bench::parse_sweep_cli(static_cast<int>(args.size()), fake_argv(args)),
       ::testing::ExitedWithCode(2), "expects a value");
+}
+
+TEST(SweepCliDeathTest, SwitchGivenAValueIsAnError) {
+  std::vector<std::string> args = {"bench", "--smoke=1"};
+  EXPECT_EXIT(bench::parse_sweep_cli(
+                  static_cast<int>(args.size()), fake_argv(args),
+                  {{"--smoke", "", "short run", [](const std::string&) {}}}),
+              ::testing::ExitedWithCode(2), "takes no value");
 }
 
 TEST(SweepCliDeathTest, UnknownFlagIsAnError) {

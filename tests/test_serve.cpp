@@ -226,26 +226,17 @@ TEST(Protocol, ScenarioRoundTripsThroughWireForm) {
   EXPECT_EQ(wire, scenario_to_json(back));
 }
 
-TEST(Protocol, ShardsRoundTripsAndBadValuesFailValidation) {
-  trace::ScenarioConfig config = quick_scenario(7);
-  config.shards = 4;
-  const std::string wire = scenario_to_json(config);
-  EXPECT_NE(wire.find("\"shards\":4"), std::string::npos);
-  const std::optional<util::Json> parsed = util::Json::parse(wire);
-  ASSERT_TRUE(parsed.has_value());
-  trace::ScenarioConfig back;
+TEST(Protocol, StaleShardsKeyIsRejected) {
+  // Runs have a single event loop; a client still sending the retired
+  // intra-run parallelism knob gets the structured unknown-key error
+  // instead of a silently serial run.
+  const std::optional<util::Json> json =
+      util::Json::parse(R"({"seed":1,"shards":2})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-  EXPECT_EQ(back.shards, 4);
-
-  // A non-numeric shards value must surface as an invalid config, not
-  // silently run some other formation.
-  const std::optional<util::Json> bad =
-      util::Json::parse(R"({"seed":1,"shards":"wide"})");
-  ASSERT_TRUE(bad.has_value());
-  trace::ScenarioConfig mangled;
-  ASSERT_TRUE(parse_scenario(*bad, &mangled, &error)) << error;
-  EXPECT_FALSE(mangled.validate().empty());
+  EXPECT_FALSE(parse_scenario(*json, &config, &error));
+  EXPECT_EQ(error, "unknown scenario key 'shards'");
 }
 
 TEST(Protocol, UnknownScenarioKeyIsAnError) {
@@ -482,14 +473,12 @@ TEST(Server, RunMatchesInProcessRunnerByteForByte) {
             stats_json(*wire_stats));
 }
 
-TEST(Server, FaultedShardedRunAcceptedOverTheWire) {
-  // shards > 1 plus impairments used to be rejected at validation; the
-  // partition-time schedule compiler made the combination first-class, and
-  // the wire path must agree with the in-process runner byte for byte.
+TEST(Server, FaultedRunAcceptedOverTheWire) {
+  // An impaired scenario crosses the wire with its fault schedule, and the
+  // wire path must agree with the in-process runner byte for byte.
   TestServer ts(basic_config());
   LineClient client = ts.connect();
   trace::ScenarioConfig config = quick_scenario(33, 20.0);
-  config.shards = 2;
   config.deployment.road_length_m = 800.0;
   config.deployment.aps_per_km = 10.0;
   config.impairments.schedule.ap_blackout(sec(4), sec(2), 0)
@@ -661,16 +650,15 @@ TEST(Campaign, MergedStatsMatchSerialSweepByteForByte) {
   EXPECT_EQ(report.merged.digest(), oracle.digest());
 }
 
-TEST(Campaign, ShardedFaultedCampaignMatchesSerialSweep) {
-  // A campaign whose base scenario runs sharded *and* impaired: every seed
-  // executes the formation engine end-to-end, and the merged stats still
-  // equal the serial sweep's byte for byte.
+TEST(Campaign, FaultedCampaignMatchesSerialSweep) {
+  // A campaign whose base scenario is impaired: every seed carries the
+  // fault schedule over the wire, and the merged stats still equal the
+  // serial sweep's byte for byte.
   TestServer ts(basic_config());
   CampaignConfig campaign;
   campaign.servers = {ts.server.config().socket_path};
   campaign.clients_per_server = 2;
   campaign.base = quick_scenario(0, 15.0);
-  campaign.base.shards = 2;
   campaign.base.deployment.road_length_m = 800.0;
   campaign.base.deployment.aps_per_km = 10.0;
   campaign.base.impairments.schedule.ap_blackout(sec(4), sec(2), 0)

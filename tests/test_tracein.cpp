@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "phy/shard_fabric.hpp"
 #include "trace/client_profile.hpp"
 #include "trace/experiment.hpp"
 #include "trace/impairment.hpp"
@@ -533,51 +532,22 @@ TEST(Validate, TraceImpairmentFailuresNameTheSourceField) {
   }
 }
 
-// Formerly the shards>1 rejection test: schedules now compile into
-// per-shard sub-schedules at partition time, so this pins the acceptance
-// matrix — every impairment kind is valid at every width — while keeping
-// the field-naming contract for the error paths that remain (a broken
-// trace is still reported against its own source field, at any width).
-TEST(Validate, ShardAcceptanceMatrixAndSourceFieldNaming) {
-  const TempTrace file("test_tracein_shards.csv", "0,6,0.5\n");
-  tracein::OccupancyTimeline t;
-  t.samples.push_back({sec(1), 6, 0.5});
-
-  for (int shards : {0, 1, 2, 4, phy::kMaxShards}) {
-    trace::ScenarioConfig config;
-    config.shards = shards;
-
-    config.impairments = trace::ImpairmentSource::trace_file(file.path());
-    EXPECT_TRUE(config.validate().empty()) << "trace-file, shards " << shards;
-
-    config.impairments = trace::ImpairmentSource::inline_timeline(t);
-    EXPECT_TRUE(config.validate().empty())
-        << "inline-timeline, shards " << shards;
-
-    config.impairments = trace::ImpairmentSource();
-    config.impairments.schedule.ap_blackout(sec(10), sec(1), 0);
-    EXPECT_TRUE(config.validate().empty()) << "synthetic, shards " << shards;
-  }
-
-  // Error paths still name the offending source field, sharded or not.
+// A trace file that cannot be opened is reported against its own source
+// field, like every other trace-backed validation failure.
+TEST(Validate, MissingTraceFileNamesItsSourceField) {
   trace::ScenarioConfig config;
-  config.shards = 4;
   config.impairments =
       trace::ImpairmentSource::trace_file("test_tracein_does_not_exist.csv");
-  {
-    const auto issues = config.validate();
-    ASSERT_EQ(issues.size(), 1u);
-    EXPECT_EQ(issues[0].field, "impairments.trace_path");
-    EXPECT_NE(issues[0].message.find("cannot open"), std::string::npos);
-  }
+  const auto issues = config.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "impairments.trace_path");
+  EXPECT_NE(issues[0].message.find("cannot open"), std::string::npos);
 }
 
-// Trace-backed impairments run end-to-end under the sharded engine: both
-// trace-backed kinds execute at shards > 1, reproduce run-to-run, and
-// count exactly the faults the serial engine counts for the same source
-// (onset accounting designates one shard per spec, so the sums match).
-TEST(TraceReplay, TraceBackedImpairmentsRunSharded) {
-  const TempTrace file("test_tracein_shard_e2e.csv",
+// Both trace-backed kinds run end-to-end, inject faults, and reproduce
+// run-to-run on every resilience field.
+TEST(TraceReplay, TraceBackedImpairmentsRerunIdentically) {
+  const TempTrace file("test_tracein_rerun_e2e.csv",
                        "10,6,0.85\n25,6,0.1\n30,1,0.9\n40,1,0.2\n");
   tracein::OccupancyTimeline t;
   t.samples.push_back({sec(12), 6, 0.95});
@@ -594,17 +564,11 @@ TEST(TraceReplay, TraceBackedImpairmentsRunSharded) {
                           ? trace::ImpairmentSource::trace_file(file.path())
                           : trace::ImpairmentSource::inline_timeline(t);
 
-    cfg.shards = 1;
-    const trace::ScenarioResult serial = trace::run_scenario(cfg);
-    EXPECT_TRUE(serial.completed);
-    EXPECT_GT(serial.faults_injected, 0u);
-
-    cfg.shards = 2;
     const trace::ScenarioResult a = trace::run_scenario(cfg);
     const trace::ScenarioResult b = trace::run_scenario(cfg);
     EXPECT_TRUE(a.completed) << "source " << source;
-    EXPECT_EQ(a.faults_injected, serial.faults_injected)
-        << "source " << source;
+    EXPECT_GT(a.faults_injected, 0u) << "source " << source;
+    EXPECT_EQ(a.faults_injected, b.faults_injected) << "source " << source;
     EXPECT_EQ(a.total_bytes, b.total_bytes) << "source " << source;
     EXPECT_EQ(a.outages, b.outages) << "source " << source;
     EXPECT_EQ(a.recoveries, b.recoveries) << "source " << source;
