@@ -14,7 +14,7 @@
 #include "core/spider_driver.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/experiment.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "trace/testbed.hpp"
 
 using namespace spider;
@@ -117,14 +117,15 @@ void BM_TownScenarioMinute(benchmark::State& state) {
     cfg.deployment.road_length_m = 1500;
     cfg.deployment.aps_per_km = 10;
     cfg.spider.mode = core::OperationMode::single(6);
-    auto result = trace::run_scenario(cfg);
+    auto result = trace::ScenarioRunner().run_one(cfg);
     benchmark::DoNotOptimize(result.total_bytes);
   }
 }
 BENCHMARK(BM_TownScenarioMinute)->Unit(benchmark::kMillisecond);
 
-void BM_SweepRunnerScaling(benchmark::State& state) {
-  // Eight one-minute scenarios through the sweep runner at various --jobs.
+void BM_RunManyScaling(benchmark::State& state) {
+  // Eight one-minute scenarios through ScenarioRunner::run_many at various
+  // worker counts.
   // On a multi-core host wall time should drop roughly linearly with jobs
   // until physical cores run out; results stay in submission order.
   const auto jobs = static_cast<std::size_t>(state.range(0));
@@ -138,10 +139,10 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
     cfg.spider.mode = core::OperationMode::single(6);
     configs.push_back(cfg);
   }
-  trace::SweepRunner runner({.jobs = jobs});
+  const trace::ScenarioRunner runner({.jobs = jobs});
   std::uint64_t popped = 0;
   for (auto _ : state) {
-    const auto results = runner.run(configs);
+    const auto results = runner.run_many(configs);
     for (const auto& r : results) popped += r.perf.events_popped;
     benchmark::DoNotOptimize(results.front().total_bytes);
   }
@@ -149,7 +150,7 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
   state.counters["events_popped"] =
       static_cast<double>(popped) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_SweepRunnerScaling)
+BENCHMARK(BM_RunManyScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

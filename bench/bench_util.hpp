@@ -5,6 +5,7 @@
 // paper's experimental constants (§4.1) so individual benches only override
 // what their experiment sweeps.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -16,7 +17,7 @@
 #include "sim/cancel.hpp"
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -97,7 +98,8 @@ struct FlagSpec {
 /// across --jobs settings, and any --trace-* flag implies tracing without
 /// touching stdout.
 struct SweepCli {
-  trace::SweepOptions sweep;
+  /// Sweeps default to every core (jobs = 0); --jobs overrides.
+  trace::RunnerOptions sweep{.jobs = 0};
   std::string perf_csv;
 
   /// Validates every config up front; malformed sweeps print the issues
@@ -121,7 +123,7 @@ struct SweepCli {
       const std::vector<trace::ScenarioConfig>& configs) const {
     check(configs);
     std::vector<trace::ScenarioResult> results =
-        trace::SweepRunner(sweep).run(configs);
+        trace::ScenarioRunner(sweep).run_many(configs);
     exit_if_interrupted(results);
     return results;
   }
@@ -130,7 +132,7 @@ struct SweepCli {
       const std::vector<trace::ScenarioConfig>& configs, int runs) const {
     check(configs);
     std::vector<trace::ScenarioResult> results =
-        trace::SweepRunner(sweep).run_averaged(configs, runs);
+        trace::ScenarioRunner(sweep).run_many_averaged(configs, runs);
     exit_if_interrupted(results);
     return results;
   }
@@ -174,11 +176,24 @@ inline SweepCli parse_sweep_cli(int argc, char** argv,
   SweepCli cli;
   install_interrupt_handlers();
   cli.sweep.cancel = &interrupt_token();
-  std::vector<FlagSpec> flags = {
+  std::vector<FlagSpec> flags;
+  const auto fail = [&](const std::string& message) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
+    print_sweep_usage(argv[0], flags);
+    std::exit(2);
+  };
+  flags = {
       {"--jobs", "N",
        "worker threads; 0 = SPIDER_JOBS env, then hardware_concurrency",
-       [&cli](const std::string& v) {
-         cli.sweep.jobs = std::strtoul(v.c_str(), nullptr, 10);
+       [&cli, &fail](const std::string& v) {
+         const char* last = v.data() + v.size();
+         std::size_t jobs = 0;
+         const auto [end, ec] = std::from_chars(v.data(), last, jobs);
+         if (ec != std::errc() || end != last) {
+           fail("flag '--jobs' expects a non-negative integer, got '" + v +
+                "'");
+         }
+         cli.sweep.jobs = jobs;
        }},
       {"--perf-csv", "PATH", "dump per-run engine counters after the sweep",
        [&cli](const std::string& v) { cli.perf_csv = v; }},
@@ -193,12 +208,6 @@ inline SweepCli parse_sweep_cli(int argc, char** argv,
        [&cli](const std::string& v) { cli.sweep.sinks.metrics_path = v; }},
   };
   for (FlagSpec& f : extra_flags) flags.push_back(std::move(f));
-
-  const auto fail = [&](const std::string& message) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
-    print_sweep_usage(argv[0], flags);
-    std::exit(2);
-  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
     opts1.jobs = 1;
     auto opts8 = cli.sweep;
     opts8.jobs = 8;
-    serial = trace::SweepRunner(opts1).run(configs);
-    const auto wide = trace::SweepRunner(opts8).run(configs);
+    serial = trace::ScenarioRunner(opts1).run_many(configs);
+    const auto wide = trace::ScenarioRunner(opts8).run_many(configs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (digest(serial[i]) != digest(wide[i]) ||
           digest(serial[i]) != digest(results[i])) {

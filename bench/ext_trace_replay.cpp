@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
             std::exit(2);
           }
         }},
-       {"--smoke", "0|1", "short deployment for the CI smoke test",
-        [&](const std::string& v) { smoke = v != "0"; }},
+       {"--smoke", "", "short deployment for the CI smoke test",
+        [&](const std::string&) { smoke = true; }},
        {"--resilience-csv", "PATH",
         "write the per-run resilience digest (deterministic CSV)",
         [&](const std::string& v) { resilience_csv = v; }},

@@ -13,11 +13,14 @@
 
 using namespace spider;
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Fig. 5 — association time CDF vs f6",
                 "D=400ms, link-layer timeout=100ms, vehicular town runs");
 
-  for (double f6 : {0.25, 0.50, 0.75, 1.00}) {
+  const double fractions[] = {0.25, 0.50, 0.75, 1.00};
+  std::vector<trace::ScenarioConfig> configs;
+  for (double f6 : fractions) {
     trace::ScenarioConfig cfg = bench::town_scenario(/*seed=*/50);
     cfg.duration = sec(1200);
     cfg.spider = bench::tuned_spider();
@@ -27,7 +30,13 @@ int main() {
       cfg.spider.mode = core::OperationMode::weighted(
           {{6, f6}, {1, (1.0 - f6) / 2}, {11, (1.0 - f6) / 2}}, msec(400));
     }
-    const auto result = trace::run_scenario_averaged(cfg, 3);
+    configs.push_back(cfg);
+  }
+  const auto results = cli.run_averaged(configs, 3);
+
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const double f6 = fractions[i];
+    const auto& result = results[i];
 
     Cdf assoc_ms;
     std::size_t attempts_on_6 = 0;
@@ -48,5 +57,6 @@ int main() {
                      {50, 100, 200, 300, 400, 600, 800, 1000},
                      "time to associate (ms)");
   }
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -23,11 +23,12 @@ struct Config {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Fig. 6 — DHCP lease time CDF vs schedule and timeout",
                 "D=400ms, link-layer timeout=100ms, vehicular town runs");
 
-  const Config configs[] = {
+  const Config variants[] = {
       {"25% - 100ms", 0.25, {.retx_timeout = msec(100), .max_sends = 8}},
       {"50% - 100ms", 0.50, {.retx_timeout = msec(100), .max_sends = 8}},
       {"100% - 100ms", 1.00, {.retx_timeout = msec(100), .max_sends = 8}},
@@ -36,7 +37,8 @@ int main() {
 
   const double grid[] = {0.25, 0.5, 1, 1.5, 2, 3, 4, 5, 7, 10, 15};
 
-  for (const auto& c : configs) {
+  std::vector<trace::ScenarioConfig> configs;
+  for (const auto& c : variants) {
     trace::ScenarioConfig cfg = bench::town_scenario(/*seed=*/60);
     cfg.duration = sec(1200);
     cfg.spider = bench::tuned_spider();
@@ -49,7 +51,13 @@ int main() {
           {{6, c.f6}, {1, (1.0 - c.f6) / 2}, {11, (1.0 - c.f6) / 2}},
           msec(400));
     }
-    const auto result = trace::run_scenario_averaged(cfg, 3);
+    configs.push_back(cfg);
+  }
+  const auto results = cli.run_averaged(configs, 3);
+
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto& c = variants[i];
+    const auto& result = results[i];
 
     std::size_t reached_dhcp = 0;
     Cdf lease_s;
@@ -80,5 +88,6 @@ int main() {
       std::printf("  median lease time (successes): %.2f s\n", lease_s.median());
     }
   }
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -22,7 +22,8 @@ struct Row {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Table 3 — DHCP failure probability per timeout config",
                 "vehicular town runs, 7 interfaces, x5 seeds");
 
@@ -46,19 +47,32 @@ int main() {
        {.retx_timeout = sec(1), .max_sends = 3}, ll_default},
   };
 
-  TextTable table({"parameters", "failed dhcp", "+/-", "attempts"});
+  // Rows × seeds, flattened row-major: the per-seed failure fractions feed
+  // a mean and a spread, so the seeds run individually, not pooled.
+  constexpr std::uint64_t kFirstSeed = 400;
+  constexpr std::size_t kSeeds = 5;
+  std::vector<trace::ScenarioConfig> configs;
   for (const auto& row : rows) {
-    OnlineStats per_seed;
-    std::size_t attempts = 0;
-    for (std::uint64_t seed = 400; seed < 405; ++seed) {
-      auto cfg = bench::town_scenario(seed);
+    for (std::size_t k = 0; k < kSeeds; ++k) {
+      auto cfg = bench::town_scenario(kFirstSeed + k);
       cfg.duration = sec(1200);
       cfg.spider = bench::tuned_spider();
       cfg.spider.mode = row.mode;
       cfg.spider.dhcp = row.dhcp;
       cfg.spider.mlme = row.mlme;
       cfg.spider.use_lease_cache = false;  // isolate raw acquisition
-      const auto result = trace::run_scenario(cfg);
+      configs.push_back(cfg);
+    }
+  }
+  const auto results = cli.run(configs);
+
+  TextTable table({"parameters", "failed dhcp", "+/-", "attempts"});
+  std::size_t next = 0;
+  for (const auto& row : rows) {
+    OnlineStats per_seed;
+    std::size_t attempts = 0;
+    for (std::size_t k = 0; k < kSeeds; ++k) {
+      const auto& result = results[next++];
       per_seed.add(result.dhcp_failure_fraction());
       attempts += result.assoc_succeeded;
     }
@@ -70,5 +84,6 @@ int main() {
   std::printf(
       "\n(Paper: 23.0/27.1/28.2%% for 600/400/200 ms; 23.6%% for 3-channel\n"
       "200 ms; 13.5%% / 21.8%% for single/multi-channel default timers.)\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "util/table.hpp"
 
 using namespace spider;
@@ -40,7 +41,7 @@ int main() {
     cfg.deployment.road_length_m = 2500;
     cfg.deployment.aps_per_km = 10;
     cfg.spider.mode = m.mode;
-    auto result = trace::run_scenario(cfg);
+    auto result = trace::ScenarioRunner().run_one(cfg);
     table.add_row({
         m.name,
         TextTable::num(result.avg_throughput_kBps, 1),

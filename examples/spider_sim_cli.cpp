@@ -27,6 +27,7 @@
 #include "mobility/deployment_io.hpp"
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
+#include "trace/runner.hpp"
 
 using namespace spider;
 
@@ -127,7 +128,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.seed),
               cfg.adaptive ? " adaptive" : "");
 
-  auto result = trace::run_scenario(cfg);
+  // run_bounded validates the config first, so a bad flag value (negative
+  // density, zero interfaces, ...) is reported instead of crashing the run.
+  trace::RunOutcome outcome = trace::ScenarioRunner().run_bounded(cfg);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0],
+                 trace::to_string(outcome.error->kind),
+                 outcome.error->message.c_str());
+    return outcome.error->kind == trace::RunErrorKind::kInvalidConfig ? 2 : 1;
+  }
+  const trace::ScenarioResult& result = *outcome.result;
 
   std::printf("\nthroughput    %.1f KB/s (%llu bytes)\n",
               result.avg_throughput_kBps,

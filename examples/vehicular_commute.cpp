@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 
 using namespace spider;
 
@@ -44,16 +45,17 @@ int main(int argc, char** argv) {
   std::printf("commute: 2.5 km road, 15 min at 11 m/s, seed %llu\n\n",
               static_cast<unsigned long long>(seed));
 
+  const trace::ScenarioRunner runner;
   auto spider_cfg = commute(seed);
-  report("Spider (ch6, 7 ifaces)", trace::run_scenario(spider_cfg));
+  report("Spider (ch6, 7 ifaces)", runner.run_one(spider_cfg));
 
   auto spider_multi = commute(seed);
   spider_multi.spider.mode = core::OperationMode::equal_split({1, 6, 11}, msec(600));
-  report("Spider (3 channels)", trace::run_scenario(spider_multi));
+  report("Spider (3 channels)", runner.run_one(spider_multi));
 
   auto stock_cfg = commute(seed);
   stock_cfg.driver = trace::DriverKind::kStock;
-  report("Stock driver", trace::run_scenario(stock_cfg));
+  report("Stock driver", runner.run_one(stock_cfg));
 
   std::printf(
       "\nReading the numbers: Spider's single-channel mode maximises\n"

@@ -23,10 +23,10 @@ cmake --build "$BUILD_DIR" -j
 "$BUILD_DIR"/bench/bench_microperf --smoke --json "$BUILD_DIR"/BENCH_hotpath.json
 "$BUILD_DIR"/bench/ext_citywide --smoke --assert-wall --json "$BUILD_DIR"/BENCH_citywide_smoke.json
 (cd "$BUILD_DIR" && bench/serve_smoke --seeds 1000 --json BENCH_serve_smoke.json)
-(cd "$BUILD_DIR" && bench/ext_trace_replay --smoke 1 --trace ../data/traces/sample_occupancy.csv --resilience-csv BENCH_trace_replay_resilience.csv)
+(cd "$BUILD_DIR" && bench/ext_trace_replay --smoke --trace ../data/traces/sample_occupancy.csv --resilience-csv BENCH_trace_replay_resilience.csv)
 
 # Every run is one single-threaded event loop; the threads live in the
-# sweep pool (ThreadPool/SweepRunner) and the service layer (server
+# runner's worker pool (ThreadPool/ScenarioRunner) and the service layer (server
 # workers, watchdog, campaign client). A dedicated TSan tree builds only
 # their two suites (the rest of the suite runs TSan via
 # SPIDER_SANITIZE=thread full builds when wanted).

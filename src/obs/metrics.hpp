@@ -9,7 +9,7 @@ namespace spider::obs {
 
 /// A small named-metric registry: counters (sum on merge) and gauges (max
 /// on merge). Derived per run from the flight recorder's kind counts and
-/// pooled across repetitions by trace::pool_results, so averaged sweeps
+/// pooled across seeded runs by trace::pool_results, so averaged sweeps
 /// report fleet-wide totals. Entries iterate in name order — exporters
 /// inherit determinism for free.
 class MetricsRegistry {

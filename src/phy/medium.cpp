@@ -400,11 +400,6 @@ void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
                         c.slots.end());
 }
 
-bool Medium::auto_prefers_grid(wire::Channel channel) {
-  if (cohort(channel).size() < kAutoMinCohort) return false;
-  return grid(channel).nonempty_cells >= kAutoMinOccupiedCells;
-}
-
 std::uint32_t Medium::allocate_slot() {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -485,11 +480,7 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
   frame.channel = channel;
   const Position tx_pos = sender.position();
   const std::uint32_t sender_slot = sender.medium_slot_;
-  bool use_grid = grid_enabled();
-  if (config_.neighbor_index == NeighborIndex::kAuto) {
-    use_grid = auto_prefers_grid(channel);
-    ++(use_grid ? auto_grid_tx_ : auto_brute_tx_);
-  }
+  const bool use_grid = grid_enabled();
   std::size_t count;
   if (use_grid) {
     // Bring this channel's mobile buckets and position lanes up to this

@@ -28,12 +28,6 @@ enum class NeighborIndex {
   /// in deployment size and byte-identical to the brute-force scan (see
   /// DESIGN.md §10 for the order-preservation argument).
   kGrid,
-  /// Per-channel adaptive choice: each transmit picks grid or brute force
-  /// from the channel's measured cohort density (cohort size and occupied
-  /// cell count — see DESIGN.md §10). Both paths are byte-identical by the
-  /// order-preservation rule, so the pick is a pure cost decision; grid
-  /// membership is maintained either way.
-  kAuto,
 };
 
 /// Default max retransmissions of a unicast frame. Stock drivers use ~7;
@@ -154,10 +148,6 @@ class Medium {
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
   std::uint64_t grid_rebuckets() const { return grid_rebuckets_; }
-  /// kAuto transmits that picked the grid path / the brute-force path.
-  /// Both zero unless neighbor_index == kAuto.
-  std::uint64_t neighbor_auto_grid_tx() const { return auto_grid_tx_; }
-  std::uint64_t neighbor_auto_brute_tx() const { return auto_brute_tx_; }
 
   /// Folds the medium's fan-out counters into engine perf counters.
   void add_perf(sim::PerfCounters& perf) const {
@@ -294,14 +284,6 @@ class Medium {
   bool grid_enabled() const {
     return config_.neighbor_index != NeighborIndex::kBruteForce;
   }
-  /// kAuto per-transmit pick: the grid pays off once the cohort is big
-  /// enough to amortise the probe/merge/sweep overhead *and* spread over
-  /// enough cells that the 3x3 neighborhood prunes most of it (expected
-  /// visited fraction ~ 9 / occupied-cells). Below either bound the
-  /// brute-force cohort scan is the cheaper loop.
-  static constexpr std::size_t kAutoMinCohort = 32;
-  static constexpr std::size_t kAutoMinOccupiedCells = 16;
-  bool auto_prefers_grid(wire::Channel channel);
 
   static std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
@@ -405,8 +387,6 @@ class Medium {
   std::uint64_t candidates_examined_ = 0;
   std::uint64_t grid_cells_scanned_ = 0;
   std::uint64_t grid_rebuckets_ = 0;
-  std::uint64_t auto_grid_tx_ = 0;
-  std::uint64_t auto_brute_tx_ = 0;
 };
 
 }  // namespace spider::phy

@@ -48,9 +48,7 @@ std::string string_field(const util::Json& json, const char* key) {
 
 ScenarioServer::ScenarioServer(ServerConfig config)
     : config_(std::move(config)),
-      runner_(trace::RunnerOptions{.repetitions = 1,
-                                   .jobs = 1,
-                                   .tracing = config_.tracing}) {
+      runner_(trace::RunnerOptions{.jobs = 1, .tracing = config_.tracing}) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.queue_depth == 0) config_.queue_depth = 1;
 }

@@ -8,7 +8,7 @@ namespace spider::sim {
 /// Engine-level counters for one simulation run. The event-queue fields are
 /// filled from EventQueue/Simulator accessors; the medium fields from
 /// phy::Medium::add_perf; the wall-clock fields are stamped by whoever timed
-/// the run (trace::run_scenario, SweepRunner).
+/// the run (trace::ScenarioRunner).
 ///
 /// Wall-clock values vary between machines and runs, so they are exported
 /// only through write_perf_csv — never through the deterministic stdout of

@@ -10,7 +10,6 @@
 #include "core/spider_driver.hpp"
 #include "mobility/mobility.hpp"
 #include "obs/tracer.hpp"
-#include "trace/runner.hpp"
 
 namespace spider::trace {
 
@@ -302,20 +301,12 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     result.metrics.count("phy.grid_cells_scanned",
                          bed.medium.grid_cells_scanned());
     result.metrics.count("phy.grid_rebuckets", bed.medium.grid_rebuckets());
-    result.metrics.count("phy.neighbor_auto_grid_tx",
-                         bed.medium.neighbor_auto_grid_tx());
-    result.metrics.count("phy.neighbor_auto_brute_tx",
-                         bed.medium.neighbor_auto_brute_tx());
     result.traces.push_back(std::move(tracer));
   }
   return result;
 }
 
 }  // namespace detail
-
-ScenarioResult run_scenario(const ScenarioConfig& config) {
-  return ScenarioRunner().run_one(config);
-}
 
 ScenarioResult pool_results(const std::vector<ScenarioResult>& runs) {
   ScenarioResult pooled;
@@ -351,12 +342,6 @@ ScenarioResult pool_results(const std::vector<ScenarioResult>& runs) {
   }
   detail::digest_join_log(pooled);
   return pooled;
-}
-
-ScenarioResult run_scenario_averaged(ScenarioConfig config, int runs) {
-  RunnerOptions options;
-  options.repetitions = runs;
-  return ScenarioRunner(options).run_averaged(config);
 }
 
 }  // namespace spider::trace

@@ -65,9 +65,8 @@ struct ScenarioConfig {
   std::vector<mob::ApSite> fixed_sites;
   phy::PropagationConfig propagation;
   /// Medium neighbor search: the spatial grid by default; brute force is
-  /// the differential-test oracle; kAuto picks grid or brute per transmit
-  /// from the channel's cohort density (results are byte-identical in all
-  /// three modes — the choice is purely a cost decision).
+  /// the differential-test oracle (results are byte-identical in both
+  /// modes).
   phy::NeighborIndex neighbor_index = phy::NeighborIndex::kGrid;
   /// Explicit grid cell edge in meters (0 derives it from the propagation
   /// range). Non-zero values below the range are a config error — the
@@ -164,19 +163,11 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
 void digest_join_log(ScenarioResult& result);
 }  // namespace detail
 
-/// One untraced run. Forwarder over ScenarioRunner (trace/runner.hpp),
-/// which adds repetitions, worker pools, and observer sinks.
-ScenarioResult run_scenario(const ScenarioConfig& config);
-
-/// Merges per-seed repetitions into one pooled result: scalar metrics are
+/// Merges per-seed runs into one pooled result: scalar metrics are
 /// averaged, counts summed, join logs and CDF samples concatenated in
-/// order, perf counters and trace metrics merged. Shared by every averaged
-/// entrypoint so serial and parallel sweeps agree to the byte.
+/// order, perf counters and trace metrics merged. Used by
+/// ScenarioRunner::run_many_averaged (trace/runner.hpp), so serial and
+/// parallel sweeps agree to the byte.
 ScenarioResult pool_results(const std::vector<ScenarioResult>& runs);
-
-/// Averages `runs` seeded repetitions (seed, seed+1, ...) of the scalar
-/// metrics and pools the join logs/CDF samples. Forwarder over
-/// ScenarioRunner{repetitions = runs}.
-ScenarioResult run_scenario_averaged(ScenarioConfig config, int runs);
 
 }  // namespace spider::trace

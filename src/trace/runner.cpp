@@ -8,14 +8,19 @@
 namespace spider::trace {
 
 ScenarioRunner::ScenarioRunner(RunnerOptions options)
-    : options_(options),
-      jobs_(options.jobs != 0 ? options.jobs
-                              : util::ThreadPool::default_jobs()),
-      tracing_(options.tracing || options.sinks.any()) {}
+    : options_(options), tracing_(options.tracing || options.sinks.any()) {}
+
+std::shared_ptr<obs::Tracer> ScenarioRunner::make_tracer(
+    std::uint64_t seed) const {
+  if (!tracing_) return nullptr;
+  obs::TracerConfig tc = options_.tracer;
+  tc.seed = seed;
+  return std::make_shared<obs::Tracer>(tc);
+}
 
 std::vector<ScenarioResult> ScenarioRunner::execute(
     const std::vector<ScenarioConfig>& expanded) const {
-  return util::parallel_map(jobs_, expanded.size(), [&](std::size_t i) {
+  return util::parallel_map(options_.jobs, expanded.size(), [&](std::size_t i) {
     // A tripped token skips runs that have not started yet — the sweep
     // returns promptly with every remaining slot marked incomplete
     // instead of grinding through the backlog after a ^C.
@@ -24,13 +29,7 @@ std::vector<ScenarioResult> ScenarioRunner::execute(
       skipped.completed = false;
       return skipped;
     }
-    std::shared_ptr<obs::Tracer> tracer;
-    if (tracing_) {
-      obs::TracerConfig tc = options_.tracer;
-      tc.seed = expanded[i].seed;
-      tracer = std::make_shared<obs::Tracer>(tc);
-    }
-    return detail::execute_scenario(expanded[i], std::move(tracer),
+    return detail::execute_scenario(expanded[i], make_tracer(expanded[i].seed),
                                     options_.cancel);
   });
 }
@@ -46,14 +45,8 @@ RunOutcome ScenarioRunner::run_bounded(const ScenarioConfig& config,
   }
   sim::CancelToken* token = cancel != nullptr ? cancel : options_.cancel;
   try {
-    std::shared_ptr<obs::Tracer> tracer;
-    if (tracing_) {
-      obs::TracerConfig tc = options_.tracer;
-      tc.seed = config.seed;
-      tracer = std::make_shared<obs::Tracer>(tc);
-    }
     ScenarioResult result =
-        detail::execute_scenario(config, std::move(tracer), token);
+        detail::execute_scenario(config, make_tracer(config.seed), token);
     const bool completed = result.completed;
     outcome.result = std::move(result);
     if (!completed) {
@@ -105,11 +98,6 @@ ScenarioResult ScenarioRunner::run_one(const ScenarioConfig& config) const {
   return std::move(results.front());
 }
 
-ScenarioResult ScenarioRunner::run_averaged(const ScenarioConfig& config) const {
-  std::vector<ScenarioResult> pooled = run_many_averaged({config});
-  return std::move(pooled.front());
-}
-
 std::vector<ScenarioResult> ScenarioRunner::run_many(
     const std::vector<ScenarioConfig>& configs) const {
   std::vector<ScenarioResult> results = execute(configs);
@@ -118,8 +106,8 @@ std::vector<ScenarioResult> ScenarioRunner::run_many(
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_many_averaged(
-    const std::vector<ScenarioConfig>& configs) const {
-  const int runs = options_.repetitions < 1 ? 1 : options_.repetitions;
+    const std::vector<ScenarioConfig>& configs, int runs) const {
+  runs = runs < 1 ? 1 : runs;
   std::vector<ScenarioConfig> expanded;
   expanded.reserve(configs.size() * static_cast<std::size_t>(runs));
   for (const ScenarioConfig& config : configs) {

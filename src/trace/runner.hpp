@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,12 +27,8 @@ struct SinkOptions {
   }
 };
 
-/// Everything that used to be spread across three entrypoints: how many
-/// seeded repetitions, how many workers, and which observers ride along.
+/// How many workers a runner uses and which observers ride along.
 struct RunnerOptions {
-  /// Seeded repetitions per config (seed, seed+1, ...), pooled by the
-  /// *_averaged entrypoints. Values < 1 behave as 1.
-  int repetitions = 1;
   /// Worker threads. 0 defers to SPIDER_JOBS / hardware_concurrency (see
   /// util::ThreadPool::default_jobs); 1 runs inline on the caller.
   std::size_t jobs = 1;
@@ -59,55 +56,47 @@ struct RunOutcome {
   bool ok() const { return !error.has_value(); }
 };
 
-/// The one scenario execution path. run_scenario, run_scenario_averaged,
-/// and SweepRunner are thin forwarders over this class, so every entry
-/// inherits the same determinism contract (DESIGN.md §7): each run owns
-/// its Simulator and RNG streams, results are indexed by submission order,
-/// and output is byte-identical for any worker count.
+/// The one way to run a scenario. Every run inherits the same determinism
+/// contract (DESIGN.md §7): each run owns its Simulator and RNG streams,
+/// results are indexed by submission order, and output is byte-identical
+/// for any worker count.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(RunnerOptions options = {});
 
-  /// A single run of `config` (repetitions are ignored).
+  /// A single run of `config`.
   ScenarioResult run_one(const ScenarioConfig& config) const;
 
   /// The robust entry point (DESIGN.md §11): validates `config` up front
   /// (kInvalidConfig instead of asserting downstream), runs it under the
   /// cancel/deadline token (the per-call `cancel` if given, else the
-  /// runner-wide options().cancel), maps an interruption to
+  /// runner-wide RunnerOptions::cancel), maps an interruption to
   /// kDeadlineExceeded/kCancelled with the partial result attached, and
   /// converts escaped exceptions to kInternal. A completed run is
   /// byte-identical to run_one() with no token installed.
   RunOutcome run_bounded(const ScenarioConfig& config,
                          sim::CancelToken* cancel = nullptr) const;
 
-  /// `repetitions` seeded repetitions of `config`, pooled into one result.
-  ScenarioResult run_averaged(const ScenarioConfig& config) const;
-
   /// One result per config, results[i] from configs[i], computed with
   /// `jobs` workers.
   std::vector<ScenarioResult> run_many(
       const std::vector<ScenarioConfig>& configs) const;
 
-  /// Per config: `repetitions` seeded repetitions pooled. The expansion is
-  /// flattened across configs × repetitions so repetitions of different
-  /// configs overlap on the pool instead of serialising per config.
+  /// Per config: `runs` seeded runs (seed, seed+1, ...) pooled into one
+  /// result by pool_results; `runs` < 1 behaves as 1. The expansion is
+  /// flattened across configs × runs so the runs of different configs
+  /// overlap on the pool instead of serialising per config.
   std::vector<ScenarioResult> run_many_averaged(
-      const std::vector<ScenarioConfig>& configs) const;
-
-  /// The worker count this runner resolves to (>= 1).
-  std::size_t jobs() const { return jobs_; }
-  /// Whether runs record a flight recorder (explicit or implied by sinks).
-  bool tracing() const { return tracing_; }
-  const RunnerOptions& options() const { return options_; }
+      const std::vector<ScenarioConfig>& configs, int runs) const;
 
  private:
+  /// A fresh flight recorder for one run of `seed`, or null when untraced.
+  std::shared_ptr<obs::Tracer> make_tracer(std::uint64_t seed) const;
   std::vector<ScenarioResult> execute(
       const std::vector<ScenarioConfig>& expanded) const;
   void write_sinks(const std::vector<ScenarioResult>& results) const;
 
   RunnerOptions options_;
-  std::size_t jobs_;
   bool tracing_;
 };
 

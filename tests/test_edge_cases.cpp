@@ -6,6 +6,7 @@
 #include "analysis/throughput_opt.hpp"
 #include "net/dhcp_server.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "transport/cbr.hpp"
 
 namespace spider {
@@ -101,7 +102,7 @@ TEST_P(ScenarioSpeedSweep, TransfersAtEverySpeed) {
   cfg.deployment.aps_per_km = 14;
   cfg.spider.mode = core::OperationMode::single(6);
   cfg.spider.dhcp = {.retx_timeout = msec(400), .max_sends = 4};
-  const auto result = trace::run_scenario(cfg);
+  const auto result = trace::ScenarioRunner().run_one(cfg);
   EXPECT_GT(result.total_bytes, 0u) << "speed " << GetParam();
   EXPECT_GT(result.e2e_succeeded, 0u);
   // Faster cars attempt joins at least as often per unit time (shorter
@@ -121,7 +122,7 @@ TEST(ScenarioEdge, ZeroDensityTownIsSilentButClean) {
   cfg.seed = 72;
   cfg.duration = sec(60);
   cfg.deployment.aps_per_km = 0.0;
-  const auto result = trace::run_scenario(cfg);
+  const auto result = trace::ScenarioRunner().run_one(cfg);
   EXPECT_EQ(result.total_bytes, 0u);
   EXPECT_EQ(result.joins_attempted, 0u);
   EXPECT_DOUBLE_EQ(result.connectivity, 0.0);
@@ -132,15 +133,16 @@ TEST(ScenarioEdge, ZeroDensityTownIsSilentButClean) {
 }
 
 TEST(ScenarioEdge, AveragedRunsShareNoState) {
-  // run_scenario_averaged must produce the same pooled result every time
-  // (no hidden globals beyond the deterministic conn-id counter).
+  // An averaged run must produce the same pooled result every time (no
+  // hidden globals beyond the deterministic conn-id counter).
   trace::ScenarioConfig cfg;
   cfg.seed = 73;
   cfg.duration = sec(90);
   cfg.deployment.road_length_m = 1200;
   cfg.spider.mode = core::OperationMode::single(6);
-  const auto a = trace::run_scenario_averaged(cfg, 2);
-  const auto b = trace::run_scenario_averaged(cfg, 2);
+  const trace::ScenarioRunner runner;
+  const auto a = runner.run_many_averaged({cfg}, 2).front();
+  const auto b = runner.run_many_averaged({cfg}, 2).front();
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.joins_attempted, b.joins_attempted);
 }

@@ -6,6 +6,7 @@
 #include "core/link_manager.hpp"
 #include "core/spider_driver.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "trace/testbed.hpp"
 
 namespace spider {
@@ -179,7 +180,7 @@ TEST(Failure, AllDeadTownTransfersNothing) {
   cfg.deployment.dead_backhaul_fraction = 1.0;
   cfg.spider.mode = core::OperationMode::single(6);
   cfg.spider.dhcp = {.retx_timeout = msec(400), .max_sends = 4};
-  const auto result = trace::run_scenario(cfg);
+  const auto result = trace::ScenarioRunner().run_one(cfg);
   EXPECT_EQ(result.total_bytes, 0u);
   EXPECT_EQ(result.e2e_succeeded, 0u);
   EXPECT_GT(result.dhcp_succeeded, 0u);  // portals do hand out leases
@@ -194,7 +195,7 @@ TEST(Failure, HalfDeadTownStillTransfers) {
   cfg.deployment.dead_backhaul_fraction = 0.5;
   cfg.spider.mode = core::OperationMode::single(6);
   cfg.spider.dhcp = {.retx_timeout = msec(400), .max_sends = 4};
-  const auto result = trace::run_scenario(cfg);
+  const auto result = trace::ScenarioRunner().run_one(cfg);
   EXPECT_GT(result.total_bytes, 0u);
   EXPECT_GT(result.e2e_succeeded, 0u);
   EXPECT_LT(result.e2e_succeeded, result.dhcp_succeeded);

@@ -16,6 +16,7 @@
 #include "core/spider_driver.hpp"
 #include "fault/fault.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "trace/metrics.hpp"
 #include "trace/testbed.hpp"
 
@@ -628,8 +629,8 @@ trace::ScenarioConfig faulted_scenario() {
 }
 
 TEST(Determinism, SameSeedSameScheduleReplaysByteIdentically) {
-  const auto a = trace::run_scenario(faulted_scenario());
-  const auto b = trace::run_scenario(faulted_scenario());
+  const auto a = trace::ScenarioRunner().run_one(faulted_scenario());
+  const auto b = trace::ScenarioRunner().run_one(faulted_scenario());
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.joins_attempted, b.joins_attempted);
   EXPECT_EQ(a.e2e_succeeded, b.e2e_succeeded);
@@ -646,8 +647,8 @@ TEST(Determinism, FaultFreeScheduleMatchesPreFaultRuns) {
   trace::ScenarioConfig plain = faulted_scenario();
   plain.impairments = {};
   trace::ScenarioConfig with_empty = plain;
-  const auto a = trace::run_scenario(plain);
-  const auto b = trace::run_scenario(with_empty);
+  const auto a = trace::ScenarioRunner().run_one(plain);
+  const auto b = trace::ScenarioRunner().run_one(with_empty);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.joins_attempted, b.joins_attempted);
   EXPECT_EQ(a.faults_injected, 0u);

@@ -3,6 +3,7 @@
 #include "core/spider_driver.hpp"
 #include "mobility/mobility.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 
 namespace spider::trace {
 namespace {
@@ -26,7 +27,7 @@ ScenarioConfig town(DriverKind driver, std::uint64_t seed = 11) {
 }
 
 TEST(Integration, SpiderDrivesThroughTownAndTransfers) {
-  const auto result = run_scenario(town(DriverKind::kSpider));
+  const auto result = ScenarioRunner().run_one(town(DriverKind::kSpider));
   EXPECT_GT(result.total_bytes, 500'000u);
   EXPECT_GT(result.connectivity, 0.05);
   EXPECT_LT(result.connectivity, 1.0);
@@ -36,16 +37,16 @@ TEST(Integration, SpiderDrivesThroughTownAndTransfers) {
 }
 
 TEST(Integration, DeterministicPerSeed) {
-  const auto a = run_scenario(town(DriverKind::kSpider, 21));
-  const auto b = run_scenario(town(DriverKind::kSpider, 21));
+  const auto a = ScenarioRunner().run_one(town(DriverKind::kSpider, 21));
+  const auto b = ScenarioRunner().run_one(town(DriverKind::kSpider, 21));
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.joins_attempted, b.joins_attempted);
   EXPECT_DOUBLE_EQ(a.connectivity, b.connectivity);
 }
 
 TEST(Integration, SeedsActuallyVaryOutcomes) {
-  const auto a = run_scenario(town(DriverKind::kSpider, 31));
-  const auto b = run_scenario(town(DriverKind::kSpider, 32));
+  const auto a = ScenarioRunner().run_one(town(DriverKind::kSpider, 31));
+  const auto b = ScenarioRunner().run_one(town(DriverKind::kSpider, 32));
   EXPECT_NE(a.total_bytes, b.total_bytes);
 }
 
@@ -56,15 +57,14 @@ TEST(Integration, MultiApBeatsSingleApOnOneChannel) {
   multi.spider.num_interfaces = 7;
   auto single = town(DriverKind::kSpider);
   single.spider.num_interfaces = 1;
-  const auto m = run_scenario_averaged(multi, 3);
-  const auto s = run_scenario_averaged(single, 3);
-  EXPECT_GT(m.avg_throughput_kBps, s.avg_throughput_kBps);
+  const auto pooled = ScenarioRunner().run_many_averaged({multi, single}, 3);
+  EXPECT_GT(pooled[0].avg_throughput_kBps, pooled[1].avg_throughput_kBps);
 }
 
 TEST(Integration, MultiChannelJoinsMoreButSwitchesConstantly) {
   auto cfg = town(DriverKind::kSpider);
   cfg.spider.mode = core::OperationMode::equal_split({1, 6, 11}, msec(600));
-  const auto result = run_scenario(cfg);
+  const auto result = ScenarioRunner().run_one(cfg);
   EXPECT_GT(result.switches, 100u);
   // APs from more than one channel appear in the join log.
   std::set<wire::Channel> channels;
@@ -73,8 +73,10 @@ TEST(Integration, MultiChannelJoinsMoreButSwitchesConstantly) {
 }
 
 TEST(Integration, StockDriverWorksButLagsSpider) {
-  const auto spider = run_scenario_averaged(town(DriverKind::kSpider), 3);
-  const auto stock = run_scenario_averaged(town(DriverKind::kStock), 3);
+  const auto pooled = ScenarioRunner().run_many_averaged(
+      {town(DriverKind::kSpider), town(DriverKind::kStock)}, 3);
+  const auto& spider = pooled[0];
+  const auto& stock = pooled[1];
   EXPECT_GT(stock.total_bytes, 0u);  // stock does transfer something
   EXPECT_GT(spider.avg_throughput_kBps, stock.avg_throughput_kBps);
 }
@@ -82,7 +84,7 @@ TEST(Integration, StockDriverWorksButLagsSpider) {
 TEST(Integration, FatVapCompletesJoinsUnderSlotting) {
   auto cfg = town(DriverKind::kFatVap, 13);
   cfg.spider.e2e_timeout = sec(6);
-  const auto result = run_scenario(cfg);
+  const auto result = ScenarioRunner().run_one(cfg);
   EXPECT_GT(result.joins_attempted, 0u);
   EXPECT_GT(result.total_bytes, 0u);
 }
@@ -90,8 +92,8 @@ TEST(Integration, FatVapCompletesJoinsUnderSlotting) {
 TEST(Integration, AveragingPoolsJoinLogs) {
   auto cfg = town(DriverKind::kSpider);
   cfg.duration = sec(120);
-  const auto one = run_scenario(cfg);
-  const auto three = run_scenario_averaged(cfg, 3);
+  const auto one = ScenarioRunner().run_one(cfg);
+  const auto three = ScenarioRunner().run_many_averaged({cfg}, 3).front();
   EXPECT_GT(three.joins_attempted, one.joins_attempted);
 }
 
@@ -101,7 +103,7 @@ TEST(Integration, DhcpFailureFractionWithinSanity) {
   cfg.dhcp_server.offer_delay_min = msec(300);
   cfg.dhcp_server.offer_delay_median = sec(1);
   cfg.dhcp_server.offer_delay_max = sec(4);
-  const auto result = run_scenario_averaged(cfg, 3);
+  const auto result = ScenarioRunner().run_many_averaged({cfg}, 3).front();
   // Short timeouts against slow servers: real failures, but not total.
   EXPECT_GT(result.dhcp_failure_fraction(), 0.05);
   EXPECT_LT(result.dhcp_failure_fraction(), 0.95);
@@ -122,9 +124,9 @@ TEST(Integration, FixedSitesReplayExactly) {
   cfg.duration = sec(120);
   cfg.fixed_sites = sites;
   cfg.deployment.aps_per_km = 50;  // must be ignored
-  const auto a = run_scenario(cfg);
+  const auto a = ScenarioRunner().run_one(cfg);
   cfg.deployment.aps_per_km = 1;   // still ignored
-  const auto b = run_scenario(cfg);
+  const auto b = ScenarioRunner().run_one(cfg);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_GT(a.total_bytes, 0u);
   // Exactly our two APs exist; every join targets one of them.

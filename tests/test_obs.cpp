@@ -16,7 +16,6 @@
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
 #include "trace/runner.hpp"
-#include "trace/sweep.hpp"
 
 using namespace spider;
 
@@ -132,7 +131,7 @@ std::string digest(const trace::ScenarioResult& r) {
 
 TEST(ScenarioRunner, TracingDoesNotPerturbTheSimulation) {
   const auto cfg = tiny_scenario();
-  const std::string untraced = digest(trace::run_scenario(cfg));
+  const std::string untraced = digest(trace::ScenarioRunner().run_one(cfg));
   const auto traced = trace::ScenarioRunner({.tracing = true}).run_one(cfg);
   EXPECT_EQ(digest(traced), untraced);
   ASSERT_EQ(traced.traces.size(), 1u);
@@ -146,21 +145,13 @@ TEST(ScenarioRunner, UntracedRunRetainsNoTracer) {
   EXPECT_TRUE(result.metrics.empty());
 }
 
-TEST(ScenarioRunner, ForwardersMatchRunnerPath) {
-  const auto cfg = tiny_scenario();
-  EXPECT_EQ(digest(trace::run_scenario(cfg)),
-            digest(trace::ScenarioRunner().run_one(cfg)));
-  EXPECT_EQ(digest(trace::run_scenario_averaged(cfg, 2)),
-            digest(trace::ScenarioRunner({.repetitions = 2}).run_averaged(cfg)));
-}
-
-TEST(SweepRunner, JsonlByteIdenticalAcrossWorkerCounts) {
+TEST(ScenarioRunner, JsonlByteIdenticalAcrossWorkerCounts) {
   std::vector<trace::ScenarioConfig> configs = {tiny_scenario(21),
                                                 tiny_scenario(22)};
   std::string baseline;
   for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    const auto results =
-        trace::SweepRunner({.jobs = jobs, .tracing = true}).run(configs);
+    const auto results = trace::ScenarioRunner({.jobs = jobs, .tracing = true})
+                             .run_many(configs);
     std::ostringstream jsonl;
     trace::write_trace_jsonl(jsonl, results);
     EXPECT_FALSE(jsonl.str().empty());
@@ -172,9 +163,9 @@ TEST(SweepRunner, JsonlByteIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(SweepRunner, ChromeTraceIsBalancedJson) {
-  const auto results =
-      trace::SweepRunner({.jobs = 1, .tracing = true}).run({tiny_scenario()});
+TEST(ScenarioRunner, ChromeTraceIsBalancedJson) {
+  const auto results = trace::ScenarioRunner({.jobs = 1, .tracing = true})
+                           .run_many({tiny_scenario()});
   std::ostringstream os;
   trace::write_trace_chrome(os, results);
   const std::string json = os.str();
@@ -257,14 +248,16 @@ TEST(SweepCli, BenchRegisteredFlagsApply) {
   std::vector<std::string> args = {"bench", "--smoke", "--runs=7"};
   int runs = 0;
   bool smoke = false;
-  bench::parse_sweep_cli(
+  const auto cli = bench::parse_sweep_cli(
       static_cast<int>(args.size()), fake_argv(args),
-      {{"--runs", "N", "repetitions",
+      {{"--runs", "N", "seeded runs",
         [&runs](const std::string& v) { runs = std::atoi(v.c_str()); }},
        {"--smoke", "", "short run",
         [&smoke](const std::string&) { smoke = true; }}});
   EXPECT_EQ(runs, 7);
   EXPECT_TRUE(smoke);
+  // Without --jobs a sweep uses every core, not the runner's serial default.
+  EXPECT_EQ(cli.sweep.jobs, 0u);
 }
 
 using SweepCliDeathTest = ::testing::Test;
@@ -276,6 +269,18 @@ TEST(SweepCliDeathTest, TrailingJobsWithoutValueIsAnError) {
   EXPECT_EXIT(
       bench::parse_sweep_cli(static_cast<int>(args.size()), fake_argv(args)),
       ::testing::ExitedWithCode(2), "expects a value");
+}
+
+TEST(SweepCliDeathTest, NonNumericJobsIsAnError) {
+  // Regression: strtoul read "abc" as 0 (all cores), "4x" as 4 and "-1" as
+  // ULONG_MAX; each must now fail with the usage text.
+  for (const char* bad : {"abc", "4x", "-1", ""}) {
+    std::vector<std::string> args = {"bench", "--jobs", bad};
+    EXPECT_EXIT(
+        bench::parse_sweep_cli(static_cast<int>(args.size()), fake_argv(args)),
+        ::testing::ExitedWithCode(2), "non-negative integer")
+        << "--jobs '" << bad << "'";
+  }
 }
 
 TEST(SweepCliDeathTest, SwitchGivenAValueIsAnError) {

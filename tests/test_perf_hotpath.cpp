@@ -17,6 +17,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "util/inline_function.hpp"
 
 namespace spider {
@@ -288,14 +289,14 @@ TEST(Determinism, FixedSeedScenarioIsBitStable) {
   cfg.deployment.road_length_m = 1500;
   cfg.deployment.aps_per_km = 10;
   cfg.spider.mode = core::OperationMode::single(6);
-  const auto spider_run = trace::run_scenario(cfg);
+  const auto spider_run = trace::ScenarioRunner().run_one(cfg);
   EXPECT_EQ(spider_run.total_bytes, 24709040u);
   EXPECT_EQ(spider_run.join_log.size(), 5u);
   EXPECT_EQ(spider_run.perf.events_popped, 261192u);
 
   trace::ScenarioConfig stock_cfg = cfg;
   stock_cfg.driver = trace::DriverKind::kStock;
-  const auto stock_run = trace::run_scenario(stock_cfg);
+  const auto stock_run = trace::ScenarioRunner().run_one(stock_cfg);
   EXPECT_EQ(stock_run.total_bytes, 2931680u);
   EXPECT_EQ(stock_run.join_log.size(), 3u);
   EXPECT_EQ(stock_run.perf.events_popped, 80250u);

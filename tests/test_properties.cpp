@@ -13,6 +13,7 @@
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
 #include "trace/experiment.hpp"
+#include "trace/runner.hpp"
 #include "transport/tcp.hpp"
 #include "util/stats.hpp"
 
@@ -275,8 +276,8 @@ TEST_P(ScenarioDeterminism, SameSeedSameBytes) {
   cfg.deployment.aps_per_km = 10;
   cfg.driver = GetParam();
   cfg.spider.mode = core::OperationMode::equal_split({1, 6, 11}, msec(600));
-  const auto a = trace::run_scenario(cfg);
-  const auto b = trace::run_scenario(cfg);
+  const auto a = trace::ScenarioRunner().run_one(cfg);
+  const auto b = trace::ScenarioRunner().run_one(cfg);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.joins_attempted, b.joins_attempted);
   EXPECT_EQ(a.switches, b.switches);

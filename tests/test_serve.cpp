@@ -239,6 +239,19 @@ TEST(Protocol, StaleShardsKeyIsRejected) {
   EXPECT_EQ(error, "unknown scenario key 'shards'");
 }
 
+TEST(Protocol, RetiredAutoNeighborIndexIsRejected) {
+  // The spatial grid is the only production neighbor search; brute force
+  // stays as the differential oracle. The retired adaptive mode is an
+  // error, not a silent fallback to either.
+  const std::optional<util::Json> json =
+      util::Json::parse(R"({"seed":1,"neighbor_index":"auto"})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
+  std::string error;
+  EXPECT_FALSE(parse_scenario(*json, &config, &error));
+  EXPECT_EQ(error, "neighbor_index must be grid|brute");
+}
+
 TEST(Protocol, UnknownScenarioKeyIsAnError) {
   const std::optional<util::Json> json =
       util::Json::parse(R"({"seed":1,"durationn_s":30})");

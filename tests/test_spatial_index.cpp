@@ -76,25 +76,6 @@ struct WorldResult {
   std::uint64_t candidates = 0;
   std::uint64_t rebuckets = 0;
   std::uint64_t cells_scanned = 0;
-  std::uint64_t auto_grid_tx = 0;
-  std::uint64_t auto_brute_tx = 0;
-};
-
-/// Knobs for the randomized world generator. The defaults reproduce the
-/// historical 200-seed corpus; the denser preset makes per-channel cohorts
-/// big and spread enough that kAuto's grid arm actually engages.
-struct WorldShape {
-  int n_min = 2;
-  int n_max = 40;
-  double side_min = 100.0;
-  double side_max = 600.0;
-  double range_min = 30.0;
-  double range_max = 150.0;
-  /// Declare each mobile's exact speed as RadioConfig::max_speed_mps, so
-  /// the medium's motion-bound rebucket amortisation engages. Off by
-  /// default: the same world then runs with per-timestamp re-sampling,
-  /// giving a differential baseline for the amortised path.
-  bool declare_speed = false;
 };
 
 /// One randomized deployment driven by `seed`, executed under the given
@@ -102,13 +83,19 @@ struct WorldShape {
 /// mobility, channels, the event script, and the medium's loss draws — is a
 /// pure function of (seed, script), so two calls with different `mode`
 /// simulate the same world through different search structures.
+///
+/// `declare_speed` declares each mobile's exact speed as
+/// RadioConfig::max_speed_mps, so the medium's motion-bound rebucket
+/// amortisation engages. Off by default: the same world then runs with
+/// per-timestamp re-sampling, giving a differential baseline for the
+/// amortised path.
 WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
-                      const WorldShape& shape = {}) {
+                      bool declare_speed = false) {
   Rng setup(seed);
-  const int n = static_cast<int>(setup.uniform_int(shape.n_min, shape.n_max));
-  const double side = setup.uniform(shape.side_min, shape.side_max);
+  const int n = static_cast<int>(setup.uniform_int(2, 40));
+  const double side = setup.uniform(100.0, 600.0);
   PropagationConfig pc;
-  pc.range_m = setup.uniform(shape.range_min, shape.range_max);
+  pc.range_m = setup.uniform(30.0, 150.0);
   pc.good_radius_m = pc.range_m * setup.uniform(0.5, 1.0);
   pc.base_loss = setup.uniform(0.0, 0.3);
   const double mobile_fraction = setup.uniform(0.0, 1.0);
@@ -126,7 +113,7 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
     const double vy = mobile ? setup.uniform(-25.0, 25.0) : 0.0;
     RadioConfig rc;
     rc.mobile = mobile;
-    if (shape.declare_speed) {
+    if (declare_speed) {
       rc.max_speed_mps = std::sqrt(vx * vx + vy * vy);
     }
     radios.push_back(std::make_unique<Radio>(
@@ -182,8 +169,6 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   out.candidates = medium.candidates_examined();
   out.rebuckets = medium.grid_rebuckets();
   out.cells_scanned = medium.grid_cells_scanned();
-  out.auto_grid_tx = medium.neighbor_auto_grid_tx();
-  out.auto_brute_tx = medium.neighbor_auto_brute_tx();
   return out;
 }
 
@@ -204,58 +189,6 @@ TEST(SpatialIndexDifferential, GridMatchesBruteForceAcross200Deployments) {
   }
 }
 
-// kAuto flips between the two search structures per transmit, so a third
-// run of the same corpus must stay byte-identical to both fixed modes —
-// the choice of structure can never leak into the simulation.
-TEST(SpatialIndexDifferential, AutoMatchesBothModesAcross200Deployments) {
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult grid = run_world(NeighborIndex::kGrid, seed);
-    const WorldResult auto_r = run_world(NeighborIndex::kAuto, seed);
-    ASSERT_EQ(auto_r.log, grid.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.sent, grid.sent) << "seed " << seed;
-    ASSERT_EQ(auto_r.delivered, grid.delivered) << "seed " << seed;
-    ASSERT_EQ(auto_r.dropped_at_rx, grid.dropped_at_rx) << "seed " << seed;
-    ASSERT_EQ(auto_r.fanout, grid.fanout) << "seed " << seed;
-    // Every transmit is attributed to exactly one arm, and the fixed modes
-    // never tick the auto counters.
-    ASSERT_EQ(auto_r.auto_grid_tx + auto_r.auto_brute_tx, auto_r.sent)
-        << "seed " << seed;
-    ASSERT_EQ(grid.auto_grid_tx + grid.auto_brute_tx, 0u) << "seed " << seed;
-  }
-}
-
-// The default corpus is sparse (2-40 radios over up to 600 m), so kAuto
-// mostly picks brute. A denser preset — bigger cohorts spread over more
-// cells — must engage the grid arm somewhere in the corpus, and stay
-// byte-identical to both fixed modes while doing so.
-TEST(SpatialIndexDifferential, AutoEngagesGridOnDenseDeployments) {
-  WorldShape dense;
-  dense.n_min = 60;
-  dense.n_max = 120;
-  dense.side_min = 600.0;
-  dense.side_max = 900.0;
-  dense.range_min = 30.0;
-  dense.range_max = 80.0;
-  std::uint64_t grid_arm_tx = 0;
-  std::uint64_t brute_arm_tx = 0;
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const WorldResult grid = run_world(NeighborIndex::kGrid, seed, dense);
-    const WorldResult brute =
-        run_world(NeighborIndex::kBruteForce, seed, dense);
-    const WorldResult auto_r = run_world(NeighborIndex::kAuto, seed, dense);
-    ASSERT_EQ(grid.log, brute.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.log, grid.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.delivered, grid.delivered) << "seed " << seed;
-    ASSERT_EQ(auto_r.fanout, grid.fanout) << "seed " << seed;
-    grid_arm_tx += auto_r.auto_grid_tx;
-    brute_arm_tx += auto_r.auto_brute_tx;
-  }
-  EXPECT_GT(grid_arm_tx, 0u)
-      << "auto never chose the grid on a corpus dense enough to warrant it";
-  EXPECT_GT(brute_arm_tx, 0u)
-      << "auto never fell back to brute force (small channels exist here)";
-}
-
 // A declared motion bound (RadioConfig::max_speed_mps) lets the mobile
 // sweep skip radios that provably cannot have left their cell, and the
 // transmit loop re-sample skipped candidates lazily. That amortisation
@@ -263,10 +196,9 @@ TEST(SpatialIndexDifferential, AutoEngagesGridOnDenseDeployments) {
 // rebuckets and cells scanned, which depend on when positions are sampled
 // — must match the per-timestamp re-sampling run and brute force exactly.
 TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
-  WorldShape hinted;
-  hinted.declare_speed = true;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult fast = run_world(NeighborIndex::kGrid, seed, hinted);
+    const WorldResult fast =
+        run_world(NeighborIndex::kGrid, seed, /*declare_speed=*/true);
     const WorldResult plain = run_world(NeighborIndex::kGrid, seed);
     const WorldResult brute = run_world(NeighborIndex::kBruteForce, seed);
     ASSERT_EQ(fast.log, plain.log) << "seed " << seed;
@@ -279,75 +211,6 @@ TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
     ASSERT_EQ(fast.cells_scanned, plain.cells_scanned) << "seed " << seed;
     ASSERT_EQ(fast.rebuckets, plain.rebuckets) << "seed " << seed;
   }
-}
-
-// --- kAuto: per-channel split ----------------------------------------
-// One medium, two channels of very different density: a 40-radio line on
-// channel 1 (cohort >= kAutoMinCohort, spread across >= kAutoMinOccupiedCells
-// cells) and a 4-radio cluster on channel 6. kAuto must pick the grid for
-// the dense channel and brute force for the sparse one — in the same run —
-// and deliver exactly what both fixed modes deliver.
-
-TEST(SpatialIndexAuto, SplitsPerChannelByDensityWithinOneMedium) {
-  std::string logs[3];
-  int slot = 0;
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
-    sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(17),
-                  indexed(mode));
-    RadioConfig stationary;
-    stationary.mobile = false;
-    std::vector<std::unique_ptr<Radio>> radios;
-    // Dense channel: 40 radios, 60 m apart — a 2.3 km line over 100 m
-    // cells, so ~24 occupied cells.
-    constexpr int kDense = 40;
-    for (int i = 0; i < kDense; ++i) {
-      const Position p{static_cast<double>(i) * 60.0, 0.0};
-      radios.push_back(std::make_unique<Radio>(
-          medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
-          [p] { return p; }, stationary));
-      radios.back()->tune(1);
-    }
-    // Sparse channel: 4 radios in one cell.
-    for (int i = 0; i < 4; ++i) {
-      const Position p{static_cast<double>(i) * 10.0, 5000.0};
-      radios.push_back(std::make_unique<Radio>(
-          medium, wire::MacAddress(static_cast<std::uint64_t>(kDense + i) + 1),
-          [p] { return p; }, stationary));
-      radios.back()->tune(6);
-    }
-    std::string& log = logs[slot];
-    for (std::size_t i = 0; i < radios.size(); ++i) {
-      radios[i]->set_receiver([&log, i, &sim](const wire::Frame& f) {
-        log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
-               ":" + std::to_string(f.src.raw()) + ";";
-      });
-    }
-    sim.run_until(msec(50));
-    for (std::size_t i = 0; i < radios.size(); ++i) {
-      sim.post(msec(2) * static_cast<int>(i), [&radios, i] {
-        wire::Frame f = broadcast_frame();
-        f.src = wire::MacAddress(i + 1);
-        radios[i]->send(f);
-      });
-    }
-    sim.run_until(sec(1));
-    if (mode == NeighborIndex::kAuto) {
-      // 40 dense-channel transmits through the grid, 4 sparse ones through
-      // the brute scan.
-      EXPECT_EQ(medium.neighbor_auto_grid_tx(), 40u);
-      EXPECT_EQ(medium.neighbor_auto_brute_tx(), 4u);
-    } else {
-      EXPECT_EQ(medium.neighbor_auto_grid_tx(), 0u);
-      EXPECT_EQ(medium.neighbor_auto_brute_tx(), 0u);
-    }
-    ++slot;
-  }
-  EXPECT_EQ(logs[0], logs[1]);
-  EXPECT_EQ(logs[0], logs[2]);
-  EXPECT_FALSE(logs[0].empty());
 }
 
 // --- checked fatal errors --------------------------------------------
@@ -412,8 +275,7 @@ TEST(SpatialIndexCounter, EmptyCandidateSetDoesNotUnderflowCounter) {
 
 TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
   for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
+       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
     sim::Simulator sim;
     Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
                   indexed(mode));
@@ -437,11 +299,10 @@ TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
 // lanes) and brute force (cohort vector, clobber-immune).
 
 TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
-  std::string logs[3];
+  std::string logs[2];
   int slot = 0;
   for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
+       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
     sim::Simulator sim;
     Medium medium(sim, Propagation(lossless_config(100.0)), Rng(23),
                   indexed(mode));
@@ -483,7 +344,6 @@ TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
     ++slot;
   }
   EXPECT_EQ(logs[0], logs[1]);
-  EXPECT_EQ(logs[0], logs[2]);
   EXPECT_FALSE(logs[0].empty());
 }
 

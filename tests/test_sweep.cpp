@@ -1,5 +1,5 @@
-// Tests for the parallel sweep runner and the event-queue fixes it depends
-// on. The core claim under test: a sweep's observable output is
+// Tests for the scenario runner's worker pool and the event-queue fixes it
+// depends on. The core claim under test: a sweep's observable output is
 // byte-identical for any worker count (DESIGN.md §7), so every digest here
 // is an exact string comparison, not a tolerance check.
 
@@ -15,7 +15,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "trace/experiment.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace spider;
@@ -219,7 +219,7 @@ TEST(PerfCounters, MergeSumsTotalsAndMaxesPeak) {
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner determinism
+// ScenarioRunner determinism across worker counts
 
 // Exact textual digest of everything deterministic in a result. Wall-clock
 // perf fields are deliberately excluded; everything else must match to the
@@ -276,16 +276,19 @@ std::vector<trace::ScenarioConfig> small_sweep() {
   return configs;
 }
 
-TEST(SweepRunner, ParallelRunMatchesSerialByteForByte) {
+// The serial baseline is the runner itself at jobs = 1, which runs every
+// scenario inline on the caller.
+TEST(ScenarioRunner, ParallelRunMatchesSerialByteForByte) {
   const auto configs = small_sweep();
 
   std::vector<std::string> serial;
-  for (const auto& cfg : configs) {
-    serial.push_back(digest(trace::run_scenario(cfg)));
+  for (const auto& r : trace::ScenarioRunner({.jobs = 1}).run_many(configs)) {
+    serial.push_back(digest(r));
   }
 
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const auto results = trace::SweepRunner({.jobs = jobs}).run(configs);
+  for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
+    const auto results =
+        trace::ScenarioRunner({.jobs = jobs}).run_many(configs);
     ASSERT_EQ(results.size(), configs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(digest(results[i]), serial[i])
@@ -294,47 +297,19 @@ TEST(SweepRunner, ParallelRunMatchesSerialByteForByte) {
   }
 }
 
-// kAuto flips between the grid and brute-force paths per transmit, but the
-// pick is a pure cost decision: every digest must match a serial kAuto run
-// across worker counts *and* the fixed-mode digests of the same scenarios.
-TEST(SweepRunner, AutoNeighborIndexDigestsPinnedAcrossJobs) {
-  auto configs = small_sweep();
-  for (auto& cfg : configs) cfg.neighbor_index = phy::NeighborIndex::kAuto;
-
-  std::vector<std::string> serial;
-  for (const auto& cfg : configs) {
-    serial.push_back(digest(trace::run_scenario(cfg)));
-  }
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    auto cfg = configs[i];
-    cfg.neighbor_index = phy::NeighborIndex::kGrid;
-    EXPECT_EQ(digest(trace::run_scenario(cfg)), serial[i]) << "grid " << i;
-    cfg.neighbor_index = phy::NeighborIndex::kBruteForce;
-    EXPECT_EQ(digest(trace::run_scenario(cfg)), serial[i]) << "brute " << i;
-  }
-
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    const auto results = trace::SweepRunner({.jobs = jobs}).run(configs);
-    ASSERT_EQ(results.size(), configs.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(digest(results[i]), serial[i])
-          << "jobs=" << jobs << " config " << i;
-    }
-  }
-}
-
-TEST(SweepRunner, RunAveragedMatchesSerialAveraging) {
+TEST(ScenarioRunner, RunAveragedMatchesSerialAveraging) {
   auto configs = small_sweep();
   configs.resize(2);
 
   std::vector<std::string> serial;
-  for (const auto& cfg : configs) {
-    serial.push_back(digest(trace::run_scenario_averaged(cfg, 3)));
+  for (const auto& r :
+       trace::ScenarioRunner({.jobs = 1}).run_many_averaged(configs, 3)) {
+    serial.push_back(digest(r));
   }
 
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     const auto results =
-        trace::SweepRunner({.jobs = jobs}).run_averaged(configs, 3);
+        trace::ScenarioRunner({.jobs = jobs}).run_many_averaged(configs, 3);
     ASSERT_EQ(results.size(), configs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(digest(results[i]), serial[i])
@@ -343,19 +318,14 @@ TEST(SweepRunner, RunAveragedMatchesSerialAveraging) {
   }
 }
 
-TEST(SweepRunner, ResolvesWorkerCount) {
-  EXPECT_EQ(trace::SweepRunner({.jobs = 5}).jobs(), 5u);
-  EXPECT_GE(trace::SweepRunner({.jobs = 0}).jobs(), 1u);
+TEST(ScenarioRunner, EmptySweepReturnsEmpty) {
+  EXPECT_TRUE(trace::ScenarioRunner({.jobs = 4}).run_many({}).empty());
 }
 
-TEST(SweepRunner, EmptySweepReturnsEmpty) {
-  EXPECT_TRUE(trace::SweepRunner({.jobs = 4}).run({}).empty());
-}
-
-TEST(SweepRunner, PerfCountersArePopulated) {
+TEST(ScenarioRunner, PerfCountersArePopulated) {
   auto configs = small_sweep();
   configs.resize(1);
-  const auto results = trace::SweepRunner({.jobs = 2}).run(configs);
+  const auto results = trace::ScenarioRunner({.jobs = 2}).run_many(configs);
   ASSERT_EQ(results.size(), 1u);
   const auto& p = results[0].perf;
   EXPECT_GT(p.events_popped, 0u);
