@@ -5,19 +5,23 @@
 // paper's experimental constants (§4.1) so individual benches only override
 // what their experiment sweeps.
 
+#include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cancel.hpp"
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
 #include "trace/runner.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -241,6 +245,26 @@ inline SweepCli parse_sweep_cli(int argc, char** argv,
     spec->apply(value);
   }
   return cli;
+}
+
+/// Host fingerprint for the wall-clock records a bench writes to JSON, so
+/// numbers from different hosts or build types are never compared: a JSON
+/// object {"nproc": N, "cpu": "<model>", "build_type": "<type>"}. The CPU
+/// model is the first "model name" of /proc/cpuinfo ("unknown" elsewhere);
+/// `build_type` is the CMAKE_BUILD_TYPE the bench was compiled with.
+inline std::string host_fingerprint_json(const std::string& build_type) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t value = line.find_first_not_of(" \t:", line.find(':'));
+    if (value != std::string::npos) cpu = line.substr(value);
+    break;
+  }
+  return "{\"nproc\": " +
+         std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+         ", \"cpu\": \"" + util::json_escape(cpu) + "\", \"build_type\": \"" +
+         util::json_escape(build_type) + "\"}";
 }
 
 inline void maybe_write_perf_csv(const SweepCli& cli,

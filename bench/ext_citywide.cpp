@@ -14,7 +14,8 @@
 // radio_candidates, which acceptance requires to reach >= 5x at 5000 APs.
 //
 // Stdout is deterministic (counters and bytes only); wall-clock rates go
-// to the JSON file (--json, default BENCH_citywide.json) and --perf-csv.
+// to the JSON file (--json, default BENCH_citywide.json, stamped with the
+// host fingerprint) and --perf-csv.
 // --assert-wall additionally fails the run (stderr diagnostics, nonzero
 // exit) if grid mode loses to brute force on wall-clock at any cell beyond
 // a noise tolerance — the regression guard for the grid hot path.
@@ -205,7 +206,8 @@ int main(int argc, char** argv) {
 
   // Host-dependent rates live in files only.
   if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(out, "{\n  \"cells\": [\n");
+    std::fprintf(out, "{\n  \"host\": %s,\n  \"cells\": [\n",
+                 bench::host_fingerprint_json(SPIDER_BUILD_TYPE).c_str());
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (const bool is_grid : {true, false}) {
         const trace::ScenarioResult& r = results[2 * c + (is_grid ? 0 : 1)];
@@ -213,12 +215,14 @@ int main(int argc, char** argv) {
             out,
             "    {\"aps\": %zu, \"clients\": %d, \"index\": \"%s\", "
             "\"radio_candidates\": %llu, \"grid_cells_scanned\": %llu, "
-            "\"grid_rebuckets\": %llu, \"frames_tx\": %llu, "
+            "\"grid_rebuckets\": %llu, \"position_samples\": %llu, "
+            "\"frames_tx\": %llu, "
             "\"wall_s\": %.3f, \"sim_per_wall\": %.2f}%s\n",
             cells[c].aps, cells[c].clients, is_grid ? "grid" : "brute",
             static_cast<unsigned long long>(r.perf.radio_candidates),
             static_cast<unsigned long long>(r.perf.grid_cells_scanned),
             static_cast<unsigned long long>(r.perf.grid_rebuckets),
+            static_cast<unsigned long long>(r.perf.position_samples),
             static_cast<unsigned long long>(r.perf.frames_tx),
             r.perf.wall_seconds, r.perf.sim_rate(),
             (2 * c + (is_grid ? 0 : 1)) + 1 == results.size() ? "" : ",");

@@ -15,12 +15,21 @@ namespace {
 /// 802.11b long-preamble PLCP overhead.
 constexpr Time kPlcpOverhead = usec(192);
 
-/// Safety margin subtracted from the distance-to-boundary before a motion
-/// horizon is derived from it. One millimetre dwarfs both the fp rounding
-/// of the mobility models' position arithmetic (~1e-10 m over any plausible
-/// run) and the distance covered during the one truncated tick of sec()
+/// Safety margin subtracted from the distance to the stay-box edge before a
+/// motion horizon is derived from it. One millimetre dwarfs both the fp
+/// rounding of the mobility models' position arithmetic (~1e-10 m over any
+/// plausible run) and the distance covered during the one truncated tick
 /// (1e-4 m even at 100 m/s).
 constexpr double kMotionGuardM = 1e-3;
+
+/// Derived grid cell edge over the propagation range. The excess is the
+/// hysteresis slack s = cell - range (here range / 8): a mobile keeps its
+/// bucket until it strays more than s outside that cell, and the 3x3
+/// neighborhood stays sound because cell >= range + s (DESIGN.md §10).
+/// Slack of range/16 and range/4 measured within noise of range/8 on the
+/// city benchmark; a larger slack widens every 3x3 (more out-of-range
+/// candidates), a smaller one shortens the motion horizons.
+constexpr double kCellOverRange = 9.0 / 8.0;
 
 /// splitmix64 finalizer: one multiply-xorshift round per half. Packed cells
 /// of adjacent coordinates differ in low bits of either word; this spreads
@@ -146,12 +155,16 @@ Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
       propagation_(propagation),
       rng_(rng),
       config_(config),
-      // Correctness of the 3x3 neighborhood needs cell >= range (a radio at
-      // exactly range_m must land no further than one cell away); clamp
-      // explicit overrides up, and keep a floor for degenerate zero-range
-      // propagation configs so cell_coord never divides by zero.
-      cell_m_(std::max({config.grid_cell_m, propagation_.config().range_m,
-                        1e-3})) {
+      // Correctness of the 3x3 neighborhood needs cell >= range + slack (a
+      // radio at exactly range_m, bucketed up to the slack outside its
+      // cell, must land no further than one cell away); clamp explicit
+      // overrides up, and keep a floor for degenerate zero-range
+      // propagation configs so cell_coord never divides by zero and the
+      // slack stays positive.
+      cell_m_(std::max({config.grid_cell_m,
+                        propagation_.config().range_m * kCellOverRange,
+                        1e-3})),
+      slack_m_(cell_m_ - propagation_.config().range_m) {
   last_refresh_.fill(Time{-1});
 }
 
@@ -249,11 +262,18 @@ void Medium::grid_fatal(const char* what) {
 }
 
 Time Medium::motion_horizon(const Slot& s, const Position& pos) const {
+  const Time now = sim_.now();
   const double d = std::min(std::min(pos.x - s.qx0, s.qx1 - pos.x),
                             std::min(pos.y - s.qy0, s.qy1 - pos.y)) -
                    kMotionGuardM;
-  if (d <= 0.0) return sim_.now();  // boundary-adjacent: no skippable window
-  return sim_.now() + sec(d / s.max_speed);
+  if (d <= 0.0) return now;  // at the stay-box edge: no skippable window
+  // A tiny declared speed puts the horizon past the end of time; saturate
+  // instead of overflowing the tick count. Every double below `room` lies
+  // under Time::max() - now, so the truncating cast and the sum both fit.
+  const double span_us = d / s.max_speed * 1e6;
+  const double room = static_cast<double>((Time::max() - now).count());
+  if (!(span_us < room)) return Time::max();
+  return now + Time{static_cast<std::int64_t>(span_us)};
 }
 
 void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
@@ -262,12 +282,13 @@ void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
   const std::int32_t cx = cell_coord(pos.x);
   const std::int32_t cy = cell_coord(pos.y);
   s.cell = pack_cell(cx, cy);
-  // Shrunken quick-accept box for the mobile sweep (see the Slot doc).
-  const double eps = cell_m_ * 1e-6;
-  s.qx0 = static_cast<double>(cx) * cell_m_ + eps;
-  s.qx1 = static_cast<double>(cx + 1) * cell_m_ - eps;
-  s.qy0 = static_cast<double>(cy) * cell_m_ + eps;
-  s.qy1 = static_cast<double>(cy + 1) * cell_m_ - eps;
+  // Stay box for the mobile sweep: the cell grown by the slack, shrunk by
+  // the rounding guard (see the Slot doc).
+  const double grow = slack_m_ - cell_m_ * 1e-6;
+  s.qx0 = static_cast<double>(cx) * cell_m_ - grow;
+  s.qx1 = static_cast<double>(cx + 1) * cell_m_ + grow;
+  s.qy0 = static_cast<double>(cy) * cell_m_ - grow;
+  s.qy1 = static_cast<double>(cy + 1) * cell_m_ + grow;
   pos_x_[slot] = pos.x;
   pos_y_[slot] = pos.y;
   s.pos_stamp = sim_.now();
@@ -303,31 +324,28 @@ void Medium::refresh_mobile_buckets(wire::Channel channel) {
   for (const std::uint32_t slot : mobiles(channel)) {
     Slot& s = slots_[slot];
     // Motion-bound amortisation: a radio with a declared speed ceiling
-    // provably cannot have reached its cell boundary before safe_until, so
-    // its bucket is still its true cell and the position() call is skipped
-    // entirely. Its lanes go stale; the transmit loop re-samples it lazily
-    // iff it actually turns up as a candidate.
+    // provably cannot have left its stay box before safe_until, so its
+    // bucket is still valid and the position() call is skipped entirely.
+    // Its lanes go stale; the transmit loop re-samples it lazily iff it
+    // actually turns up as a candidate.
     if (now < s.safe_until) continue;
     const Position pos = s.radio->position();
+    ++position_samples_;
     s.pos_stamp = now;
     if (pos.x >= s.qx0 && pos.x < s.qx1 && pos.y >= s.qy0 && pos.y < s.qy1) {
-      // Strictly inside the shrunken cell box — same cell, proven without
-      // a divide. This is the overwhelmingly common case (rebucketing only
-      // happens on a boundary crossing), and the sweep's whole per-mobile
-      // cost beyond the position callback: two contiguous stores.
+      // Inside the stay box — the bucket still holds, proven without a
+      // divide. This is the overwhelmingly common case (rebucketing only
+      // happens once a radio strays the slack past its cell), and the
+      // sweep's whole per-mobile cost beyond the position callback: two
+      // contiguous stores.
       pos_x_[slot] = pos.x;
       pos_y_[slot] = pos.y;
       if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
       continue;
     }
-    // Near or across a cell boundary: settle it with the exact binning.
-    const std::uint64_t key = cell_of(pos);
-    if (key == s.cell) {
-      pos_x_[slot] = pos.x;
-      pos_y_[slot] = pos.y;
-      if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
-      continue;
-    }
+    // Outside the stay box, hence at least slack - eps outside the bucket's
+    // cell: rebucket into the exact cell of `pos`. The new stay box leaves
+    // about slack / max_speed of horizon before the next sample.
     if (s.cell_idx >= g.cells.size() || g.cells[s.cell_idx].key != s.cell) {
       grid_fatal("refresh: mobile slot's cell is absent from its grid");
     }
@@ -485,9 +503,9 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
   if (use_grid) {
     // Bring this channel's mobile buckets and position lanes up to this
     // timestamp first, so the 3x3 neighborhood below cannot miss a receiver
-    // that drifted across a cell boundary since the last transmit. The
-    // sender itself is always in the center cell afterwards (mobile: just
-    // refreshed; static: bucketed at its fixed attach position).
+    // that strayed out of its stay box since the last transmit. The sender
+    // itself is always bucketed within one cell of the center afterwards
+    // (its stay box reaches less than a cell past its bucket).
     refresh_mobile_buckets(channel);
     gather_neighborhood(channel, tx_pos);
     count = scratch_slots_.size();
@@ -584,6 +602,7 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
       Slot& s = slots_[rx_slot];
       if (s.mobile && s.pos_stamp != now) {
         const Position rx_pos = s.radio->position();
+        ++position_samples_;
         pos_x_[rx_slot] = rx_pos.x;
         pos_y_[rx_slot] = rx_pos.y;
         s.pos_stamp = now;

@@ -23,10 +23,11 @@ enum class NeighborIndex {
   /// transmission; kept as the differential-test oracle and the perf
   /// baseline for the grid.
   kBruteForce,
-  /// Uniform spatial hash: radios bucket into range-sized cells, transmit
-  /// visits only the 3x3 cell neighborhood of the transmitter. Sub-linear
-  /// in deployment size and byte-identical to the brute-force scan (see
-  /// DESIGN.md §10 for the order-preservation argument).
+  /// Uniform spatial hash: radios bucket into cells of range plus a
+  /// hysteresis slack, transmit visits only the 3x3 cell neighborhood of
+  /// the transmitter. Sub-linear in deployment size and byte-identical to
+  /// the brute-force scan (see DESIGN.md §10 for the order-preservation
+  /// argument).
   kGrid,
 };
 
@@ -39,9 +40,9 @@ inline constexpr int kMediumDefaultRetryLimit = 4;
 /// the medium's lifetime — differential tests build one medium per mode.
 struct MediumConfig {
   NeighborIndex neighbor_index = NeighborIndex::kGrid;
-  /// Grid cell edge in meters. 0 derives it from the propagation range;
-  /// explicit values below the range are clamped up to it (correctness of
-  /// the 3x3 neighborhood requires cell >= range, DESIGN.md §10).
+  /// Grid cell edge in meters. 0 derives it as range * 9/8; explicit values
+  /// below that are clamped up to it (correctness of the 3x3 neighborhood
+  /// requires cell >= range + slack with a positive slack, DESIGN.md §10).
   double grid_cell_m = 0.0;
   /// 802.11 ARQ retry budget for unicast frames to their addressee.
   int retry_limit = kMediumDefaultRetryLimit;
@@ -75,11 +76,14 @@ struct MediumConfig {
 /// receiver in O(1) (immune to a new radio reusing a detached radio's
 /// address). At city scale even the per-channel cohort is too big to scan
 /// per frame, so radios additionally bucket into a uniform spatial hash
-/// grid (DESIGN.md §10): transmit visits only the 3x3 range-sized cell
-/// neighborhood of the transmitter, with candidate order — and therefore
-/// every RNG draw and delivered-frame set — byte-identical to the
-/// brute-force scan, which stays available via MediumConfig as the
-/// differential-test oracle. Cells are flat SoA lanes (slot / attach_seq /
+/// grid (DESIGN.md §10): transmit visits only the 3x3 cell neighborhood of
+/// the transmitter, with candidate order — and therefore every RNG draw
+/// and delivered-frame set — byte-identical to the brute-force scan, which
+/// stays available via MediumConfig as the differential-test oracle. Buckets have hysteresis: a mobile keeps its
+/// bucket until it strays a slack s = cell - range outside that cell, so a
+/// vehicle driving along a cell edge is not re-sampled and re-binned at
+/// every transmit, and cells are range + s wide so the 3x3 still covers
+/// every in-range receiver. Cells are flat SoA lanes (slot / attach_seq /
 /// position / generation in parallel contiguous arrays, attach_seq-sorted)
 /// behind an open-addressed cell table with a per-channel occupancy bitmap,
 /// so the 9-cell probe skips empty cells on one bit test and the
@@ -115,8 +119,11 @@ class Medium {
   sim::Simulator& simulator() { return sim_; }
   int retry_limit() const { return config_.retry_limit; }
   const MediumConfig& config() const { return config_; }
-  /// Grid cell edge actually in use (propagation range unless overridden).
+  /// Grid cell edge actually in use (range * 9/8 unless overridden larger).
   double grid_cell_m() const { return cell_m_; }
+  /// Bucket hysteresis: how far a mobile may stray outside its bucket's
+  /// cell before the sweep rebuckets it (cell edge minus propagation range).
+  double grid_slack_m() const { return slack_m_; }
 
   /// Fault-injection hook: adds `extra_loss` (in [0,1]) to every frame on
   /// `channel`, combined independently with the propagation loss. One
@@ -148,6 +155,9 @@ class Medium {
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
   std::uint64_t grid_rebuckets() const { return grid_rebuckets_; }
+  /// position() callbacks made by the grid: the mobile sweep plus the lazy
+  /// re-sampling of stale candidates (attach and retune not counted).
+  std::uint64_t position_samples() const { return position_samples_; }
 
   /// Folds the medium's fan-out counters into engine perf counters.
   void add_perf(sim::PerfCounters& perf) const {
@@ -156,6 +166,7 @@ class Medium {
     perf.radio_candidates += candidates_examined_;
     perf.grid_cells_scanned += grid_cells_scanned_;
     perf.grid_rebuckets += grid_rebuckets_;
+    perf.position_samples += position_samples_;
   }
 
  private:
@@ -182,23 +193,25 @@ class Medium {
     /// shifts (attach, detach, rebucket).
     std::uint32_t cell_idx = 0;
     std::uint32_t lane_idx = 0;
-    /// Quick same-cell acceptance box: `cell`'s bounds shrunk by
-    /// eps = cell_m * 1e-6 on each side. A position strictly inside is in
-    /// `cell` under exact floor(x / cell_m) binning — the shrink exceeds
-    /// every rounding error of the k*cell_m products and the division by
-    /// >1000x for any cell coordinate representable in an int32 — so the
-    /// sweep's hot path is four compares, no divides. Boundary-adjacent
-    /// positions fail the box and fall back to cell_of(); binning semantics
-    /// are exactly unchanged.
+    /// Stay box: `cell`'s bounds grown by the slack s and shrunk by
+    /// eps = cell_m * 1e-6 on each side. While a mobile's position is
+    /// inside, it keeps its bucket — within s of the cell, which the
+    /// cell >= range + s sizing tolerates — so the sweep's hot path is
+    /// four compares, no divides. The shrink exceeds every rounding error
+    /// of the k*cell_m products by >1000x for any cell coordinate
+    /// representable in an int32, and since s >> eps a position outside
+    /// the box is never in `cell` under exact floor(x / cell_m) binning:
+    /// leaving the box always means a real rebucket.
     double qx0 = 1.0, qx1 = 0.0;  ///< empty box until grid_insert fills it
     double qy0 = 1.0, qy1 = 0.0;
     /// Copy of RadioConfig::max_speed_mps (0 = no motion bound declared).
     double max_speed = 0.0;
     /// Motion-bound horizon: with a declared speed ceiling, the earliest
-    /// sim time at which this radio could reach its cell boundary. The
-    /// mobile sweep skips the slot (no position() call, no lane refresh)
-    /// while now < safe_until — its bucket is provably still its true
-    /// cell. Time{0} (no ceiling, or boundary-adjacent) disables the skip.
+    /// sim time at which this radio could leave its stay box. The mobile
+    /// sweep skips the slot (no position() call, no lane refresh) while
+    /// now < safe_until — its bucket provably still holds. A fresh bucket
+    /// leaves about slack / max_speed; Time{0} (no ceiling) or `now` (at
+    /// the box edge) disables the skip, Time::max() saturates it.
     Time safe_until{0};
     /// Sim time the position lanes were last written. A transmit's grid
     /// loop re-samples a mobile candidate whose lanes are stale (skipped by
@@ -290,9 +303,6 @@ class Medium {
            static_cast<std::uint32_t>(cy);
   }
   std::int32_t cell_coord(double meters) const;
-  std::uint64_t cell_of(const Position& pos) const {
-    return pack_cell(cell_coord(pos.x), cell_coord(pos.y));
-  }
   ChannelGrid& grid(wire::Channel channel);
   void grid_insert(wire::Channel channel, std::uint32_t slot,
                    const Position& pos);
@@ -303,17 +313,18 @@ class Medium {
   [[noreturn]] static void grid_fatal(const char* what);
   /// Per-channel position-epoch sweep: once per distinct sim timestamp
   /// *per channel*, re-sample that channel's mobile radios, refresh their
-  /// position lanes, and move the ones that crossed a cell boundary.
+  /// position lanes, and move the ones that left their stay box.
   /// Stationary radios and other channels' mobiles are never touched, and
   /// mobiles with a declared speed ceiling are skipped outright while
   /// their motion-bound horizon (Slot::safe_until) proves they cannot have
-  /// left their cell — the amortisation that keeps the sweep sub-linear in
-  /// mobiles per timestamp.
+  /// left their stay box — the amortisation that keeps the sweep sub-linear
+  /// in mobiles per timestamp, even for routes along a cell edge.
   void refresh_mobile_buckets(wire::Channel channel);
-  /// Earliest sim time at which a speed-bounded slot at `pos` could reach
-  /// its cell boundary (requires s.max_speed > 0). Measured against the
-  /// shrunken quick box minus a 1 mm guard, with sec() truncating — every
-  /// error source under-estimates the horizon, never over.
+  /// Earliest sim time at which a speed-bounded slot at `pos` could leave
+  /// its stay box (requires s.max_speed > 0). Measured against the stay box
+  /// minus a 1 mm guard, truncated to the tick — every error source
+  /// under-estimates the horizon, never over — and saturated at
+  /// Time::max() for tiny speeds.
   Time motion_horizon(const Slot& s, const Position& pos) const;
   /// Fills scratch_slots_ with the 3x3 neighborhood of `pos` on `channel`
   /// via a 9-way merge of attach_seq-sorted cell lanes (the brute-force
@@ -329,6 +340,7 @@ class Medium {
   Rng rng_;
   MediumConfig config_;
   double cell_m_ = 0.0;
+  double slack_m_ = 0.0;  ///< cell_m_ - range, always > 0
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -387,6 +399,7 @@ class Medium {
   std::uint64_t candidates_examined_ = 0;
   std::uint64_t grid_cells_scanned_ = 0;
   std::uint64_t grid_rebuckets_ = 0;
+  std::uint64_t position_samples_ = 0;
 };
 
 }  // namespace spider::phy

@@ -30,8 +30,8 @@ struct RadioConfig {
   /// Optional ceiling on how fast the position callback can move this
   /// radio, in metres per second of sim time (0 = no ceiling known). When
   /// set, the medium's mobile sweep amortises rebucketing (DESIGN.md §10):
-  /// a radio mid-cell cannot reach a cell boundary before
-  /// distance-to-boundary / max_speed_mps elapses, so its position is not
+  /// a radio inside its bucket's stay box cannot leave it before
+  /// distance-to-edge / max_speed_mps elapses, so its position is not
   /// re-sampled until that horizon — without changing delivered sets,
   /// counters, or RNG draws. The value must be a true bound over the whole
   /// run (every MobilityModel moves at constant path speed with no

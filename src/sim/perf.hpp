@@ -44,6 +44,9 @@ struct PerfCounters {
   std::uint64_t grid_cells_scanned = 0;
   /// Mobile radios moved between grid cells by the position-epoch sweep.
   std::uint64_t grid_rebuckets = 0;
+  /// position() callbacks made by the grid (mobile sweep plus lazy
+  /// re-sampling of candidates); 0 under the brute-force index.
+  std::uint64_t position_samples = 0;
 
   double sim_seconds = 0.0;            ///< simulated horizon of the run
   double wall_seconds = 0.0;           ///< host time spent executing it
@@ -66,6 +69,7 @@ struct PerfCounters {
     radio_candidates += other.radio_candidates;
     grid_cells_scanned += other.grid_cells_scanned;
     grid_rebuckets += other.grid_rebuckets;
+    position_samples += other.position_samples;
     sim_seconds += other.sim_seconds;
     wall_seconds += other.wall_seconds;
   }

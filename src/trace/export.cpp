@@ -127,7 +127,7 @@ void write_perf_csv(std::ostream& os,
   os << "run,events_popped,events_cancelled,heap_peak,compactions,"
         "handles_allocated,callbacks_heap,frames_tx,frames_fanout,"
         "radio_candidates,grid_cells_scanned,grid_rebuckets,"
-        "sim_s,wall_s,sim_per_wall\n";
+        "position_samples,sim_s,wall_s,sim_per_wall\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sim::PerfCounters& p = results[i].perf;
     os << i << ',' << p.events_popped << ',' << p.events_cancelled << ','
@@ -135,6 +135,7 @@ void write_perf_csv(std::ostream& os,
        << ',' << p.callbacks_heap << ',' << p.frames_tx << ','
        << p.frames_fanout << ',' << p.radio_candidates << ','
        << p.grid_cells_scanned << ',' << p.grid_rebuckets << ','
+       << p.position_samples << ','
        << p.sim_seconds << ',' << p.wall_seconds << ',' << p.sim_rate()
        << '\n';
   }

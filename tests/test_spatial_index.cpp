@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "mobility/deployment.hpp"
+#include "mobility/mobility.hpp"
 #include "phy/medium.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
@@ -25,13 +28,17 @@ namespace spider::phy {
 
 /// Test-only backdoor: corrupts private medium state to pin the checked
 /// fatal-error paths (a release build used to ride an `assert` straight
-/// into UB) and the empty-candidate-set counter guard.
+/// into UB) and the empty-candidate-set counter guard, and reads the
+/// motion-bound horizon.
 struct MediumTestPeer {
   static void corrupt_recorded_cell(Medium& m, Radio& r) {
     auto& s = m.slots_[r.medium_slot_];
     s.cell = Medium::pack_cell(30000, 30000);
-    s.qx0 = 1.0;  // empty quick-accept box: force the exact binning path
+    s.qx0 = 1.0;  // empty stay box: force the rebucket path
     s.qx1 = 0.0;
+  }
+  static Time safe_until(const Medium& m, const Radio& r) {
+    return m.slots_[r.medium_slot_].safe_until;
   }
   static void drop_from_cohort(Medium& m, Radio& r) {
     m.cohort_remove(r.channel(), r.medium_slot_);
@@ -77,6 +84,17 @@ struct WorldResult {
   std::uint64_t rebuckets = 0;
   std::uint64_t cells_scanned = 0;
 };
+
+/// Copies the medium's delivery and search counters into `out`.
+void record_counters(const Medium& medium, WorldResult& out) {
+  out.sent = medium.frames_sent();
+  out.delivered = medium.frames_delivered();
+  out.dropped_at_rx = medium.frames_dropped_at_rx();
+  out.fanout = medium.fanout_scheduled();
+  out.candidates = medium.candidates_examined();
+  out.rebuckets = medium.grid_rebuckets();
+  out.cells_scanned = medium.grid_cells_scanned();
+}
 
 /// One randomized deployment driven by `seed`, executed under the given
 /// neighbor index. Every stochastic choice — world shape, radio placement,
@@ -162,13 +180,7 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   }
   sim.run_until(sec(4));
 
-  out.sent = medium.frames_sent();
-  out.delivered = medium.frames_delivered();
-  out.dropped_at_rx = medium.frames_dropped_at_rx();
-  out.fanout = medium.fanout_scheduled();
-  out.candidates = medium.candidates_examined();
-  out.rebuckets = medium.grid_rebuckets();
-  out.cells_scanned = medium.grid_cells_scanned();
+  record_counters(medium, out);
   return out;
 }
 
@@ -210,6 +222,129 @@ TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
     ASSERT_EQ(fast.candidates, plain.candidates) << "seed " << seed;
     ASSERT_EQ(fast.cells_scanned, plain.cells_scanned) << "seed " << seed;
     ASSERT_EQ(fast.rebuckets, plain.rebuckets) << "seed " << seed;
+  }
+}
+
+/// A street-mesh world: static APs beside the streets of a 1 km square mesh
+/// of 250 m blocks (mob::generate_city_deployment) and vehicles touring
+/// rectangular block loops on it, each declaring its exact speed — plus
+/// two vehicles pinned to grid edges, one driving back and forth along
+/// x = 3 * grid_cell_m() and one along the town road y = 0, so the bucket
+/// hysteresis is exercised on exactly the routes it exists for. Every
+/// stochastic choice is drawn from `seed` before the clock runs, so both
+/// index modes simulate the same world.
+WorldResult run_street_world(NeighborIndex mode, std::uint64_t seed) {
+  Rng setup(seed);
+  PropagationConfig pc;
+  pc.range_m = 100.0;
+  pc.good_radius_m = 60.0;
+  pc.base_loss = 0.1;
+  sim::Simulator sim;
+  Medium medium(sim, Propagation(pc), Rng(seed * 17 + 3), indexed(mode));
+  const double cell = medium.grid_cell_m();
+
+  mob::CityGridConfig city;
+  city.width_m = 1000.0;
+  city.height_m = 1000.0;
+  city.aps_per_km2 = 40.0;
+  city.channel_weights = {{1, 0.5}, {6, 0.5}};
+  const std::vector<mob::ApSite> sites =
+      mob::generate_city_deployment(city, setup);
+  std::vector<mob::WaypointLoop> routes;
+  for (int v = 0; v < 6; ++v) {
+    routes.emplace_back(mob::city_route_waypoints(city, setup),
+                        setup.uniform(5.0, 25.0));
+  }
+  routes.emplace_back(
+      std::vector<Position>{{3.0 * cell, 0.0}, {3.0 * cell, city.height_m}},
+      15.0);
+  routes.emplace_back(
+      std::vector<Position>{{0.0, 0.0}, {city.width_m, 0.0}}, 20.0);
+
+  WorldResult out;
+  std::vector<std::unique_ptr<Radio>> radios;
+  const auto add_radio = [&](RadioConfig rc, std::function<Position()> where,
+                             wire::Channel channel) {
+    const int i = static_cast<int>(radios.size());
+    radios.push_back(std::make_unique<Radio>(
+        medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
+        std::move(where), rc));
+    radios.back()->set_receiver([&out, i, &sim](const wire::Frame& f) {
+      out.log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
+                 ":" + std::to_string(f.src.raw()) + ":" +
+                 std::to_string(f.size_bytes) + ";";
+    });
+    radios.back()->tune(channel);
+  };
+  RadioConfig ap;
+  ap.mobile = false;
+  for (const mob::ApSite& site : sites) {
+    const Position p = site.position;
+    add_radio(ap, [p] { return p; }, site.channel);
+  }
+  const std::size_t n_aps = radios.size();
+  for (const mob::WaypointLoop& route : routes) {
+    RadioConfig car;
+    car.max_speed_mps = route.speed_mps();
+    add_radio(car, [&route, &sim] { return route.position_at(sim.now()); },
+              setup.chance(0.5) ? 1 : 6);
+  }
+  const std::size_t n = radios.size();
+
+  // Scripted traffic: AP beacons, vehicle broadcasts and unicasts to APs
+  // (exercising ARQ), and vehicle retunes between the two channels.
+  constexpr int kEvents = 2500;
+  for (int e = 0; e < kEvents; ++e) {
+    const Time at = usec(setup.uniform_int(10'000, 30'000'000));
+    const int kind = static_cast<int>(setup.uniform_int(0, 99));
+    if (kind < 40) {
+      const auto idx = static_cast<std::size_t>(
+          setup.uniform_int(0, static_cast<std::int64_t>(n_aps) - 1));
+      wire::Frame f = broadcast_frame(120);
+      f.src = wire::MacAddress(idx + 1);
+      sim.post(at, [&radios, idx, f] { radios[idx]->send(f); });
+      continue;
+    }
+    const auto idx = static_cast<std::size_t>(setup.uniform_int(
+        static_cast<std::int64_t>(n_aps), static_cast<std::int64_t>(n) - 1));
+    if (kind < 90) {
+      wire::Frame f;
+      f.type = wire::FrameType::kData;
+      f.src = wire::MacAddress(idx + 1);
+      const auto dst = static_cast<std::uint64_t>(
+          setup.uniform_int(1, static_cast<std::int64_t>(n_aps)));
+      f.dst = setup.chance(0.3) ? wire::MacAddress::broadcast()
+                                : wire::MacAddress(dst);
+      f.size_bytes = static_cast<std::size_t>(setup.uniform_int(60, 1500));
+      sim.post(at, [&radios, idx, f] { radios[idx]->send(f); });
+    } else {
+      const wire::Channel ch = setup.chance(0.5) ? 1 : 6;
+      sim.post(at, [&radios, idx, ch] { radios[idx]->tune(ch); });
+    }
+  }
+  sim.run_until(sec(31));
+
+  record_counters(medium, out);
+  return out;
+}
+
+// Vehicles on a street mesh — two of them driving exactly along grid cell
+// edges, where a mobile hovers on the boundary of its bucket — must see
+// the brute-force delivery log byte for byte: the hysteresis only ever
+// widens the candidate set by out-of-range radios, which draw nothing.
+TEST(SpatialIndexDifferential, StreetMeshAndEdgeRoutesMatchBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const WorldResult grid = run_street_world(NeighborIndex::kGrid, seed);
+    const WorldResult brute =
+        run_street_world(NeighborIndex::kBruteForce, seed);
+    ASSERT_FALSE(grid.log.empty()) << "seed " << seed;
+    ASSERT_EQ(grid.log, brute.log) << "seed " << seed;
+    ASSERT_EQ(grid.sent, brute.sent) << "seed " << seed;
+    ASSERT_EQ(grid.delivered, brute.delivered) << "seed " << seed;
+    ASSERT_EQ(grid.dropped_at_rx, brute.dropped_at_rx) << "seed " << seed;
+    ASSERT_EQ(grid.fanout, brute.fanout) << "seed " << seed;
+    ASSERT_LE(grid.candidates, brute.candidates) << "seed " << seed;
+    ASSERT_GT(grid.rebuckets, 0u) << "seed " << seed;
   }
 }
 
@@ -348,7 +483,7 @@ TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
 }
 
 // --- property: boundary coverage -------------------------------------
-// With cell == range, a radio at exactly range_m from the transmitter sits
+// With cell >= range, a radio at exactly range_m from the transmitter sits
 // at most one cell away on each axis, so the 3x3 neighborhood must contain
 // every in-range radio — including radios exactly on cell boundaries and
 // exactly at range_m (in_range_at uses <=, and with good_radius == range
@@ -415,27 +550,33 @@ TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
     sim::Simulator sim;
     Medium medium(sim, Propagation(lossless_config(100.0)), Rng(11),
                   indexed(mode));
+    // The receiver attaches 5 m inside cell 0 and leaves its stay box —
+    // the cell grown by the slack — at x = exit_x, where the sweep
+    // rebuckets it.
+    const double cell = medium.grid_cell_m();
+    const double exit_x = cell + medium.grid_slack_m();
+    constexpr double kSpeed = 50.0;
+    const Time crossing = sec((exit_x - (cell - 5.0)) / kSpeed);
     RadioConfig stationary;
     stationary.mobile = false;
     Radio tx(medium, wire::MacAddress(1),
-             [] { return Position{150.0, 50.0}; }, stationary);
-    // Crosses the x = 100 cell boundary at t = 0.1 s while staying well
-    // inside the transmitter's range throughout.
-    Radio rx(medium, wire::MacAddress(2), [&sim] {
-      return Position{95.0 + 50.0 * to_seconds(sim.now()), 50.0};
+             [exit_x] { return Position{exit_x + 50.0, 50.0}; }, stationary);
+    // Stays well inside the transmitter's range around the crossing.
+    Radio rx(medium, wire::MacAddress(2), [&sim, cell] {
+      return Position{cell - 5.0 + kSpeed * to_seconds(sim.now()), 50.0};
     });
     int received = 0;
     rx.set_receiver([&received](const wire::Frame&) { ++received; });
     tx.tune(6);
     rx.tune(6);
-    sim.run_until(msec(90));
+    sim.run_until(crossing - msec(10));
     // 40 frames straddling the crossing, half an airtime apart: several are
     // in flight at the moment the sweep rebuckets the receiver.
     constexpr int kFrames = 40;
     for (int i = 0; i < kFrames; ++i) {
       sim.post(usec(500) * i, [&tx] { tx.send(broadcast_frame(1500)); });
     }
-    sim.run_until(msec(200));
+    sim.run_until(crossing + msec(100));
     EXPECT_EQ(received, kFrames) << "mode " << static_cast<int>(mode);
     EXPECT_EQ(medium.frames_dropped_at_rx(), 0u)
         << "mode " << static_cast<int>(mode);
@@ -471,6 +612,86 @@ TEST(SpatialIndexProperty, StationaryWorldNeverRebuckets) {
   sim.run_until(sec(1));
   EXPECT_GT(medium.frames_delivered(), 0u);
   EXPECT_EQ(medium.grid_rebuckets(), 0u);
+}
+
+// --- property: edge-aligned routes are sampled per slack, not per frame
+// A vehicle driving exactly along a cell edge used to fail the quick
+// same-cell box at every sweep, so its motion horizon was zero and its
+// position was re-sampled at every transmit on its channel. With bucket
+// hysteresis it sits a full slack inside its stay box, so a declared speed
+// ceiling buys it about slack / speed of sim time per sample. The
+// transmitter sits far from both routes: its transmits run the channel's
+// sweep, but neither vehicle ever surfaces as a candidate, so every sample
+// counted is the sweep's.
+
+TEST(SpatialIndexProperty, EdgeAlignedRoutesAreSampledPerSlackNotPerFrame) {
+  sim::Simulator sim;
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(13),
+                indexed(NeighborIndex::kGrid));
+  const double cell = medium.grid_cell_m();
+  const double slack = medium.grid_slack_m();
+  constexpr double kSpeed = 10.0;
+  constexpr double kDurationS = 20.0;
+  RadioConfig car;
+  car.max_speed_mps = kSpeed;
+  Radio north(medium, wire::MacAddress(1), [&sim, cell] {
+    return Position{3.0 * cell, kSpeed * to_seconds(sim.now())};
+  }, car);
+  Radio east(medium, wire::MacAddress(2), [&sim] {
+    return Position{kSpeed * to_seconds(sim.now()), 0.0};
+  }, car);
+  RadioConfig stationary;
+  stationary.mobile = false;
+  Radio tx(medium, wire::MacAddress(3),
+           [] { return Position{10'000.0, 10'000.0}; }, stationary);
+  north.tune(6);
+  east.tune(6);
+  tx.tune(6);
+  sim.run_until(msec(50));
+  constexpr int kTransmits = 4000;  // one every 5 ms
+  for (int i = 0; i < kTransmits; ++i) {
+    sim.post(msec(5) * i, [&tx] { tx.send(broadcast_frame()); });
+  }
+  sim.run_until(sec(kDurationS + 1.0));
+  ASSERT_EQ(medium.frames_sent(), static_cast<std::uint64_t>(kTransmits));
+
+  // Per vehicle: one sample per slack of travel, plus a few for each stay
+  // box it crosses (the horizons shrink as it nears the far edge).
+  const double travel = kSpeed * kDurationS;
+  const double per_vehicle = travel / slack + 4.0 * (travel / cell + 2.0);
+  EXPECT_LE(static_cast<double>(medium.position_samples()), 2.0 * per_vehicle)
+      << "cell " << cell << " slack " << slack;
+  EXPECT_LT(medium.position_samples(),
+            static_cast<std::uint64_t>(kTransmits / 10));
+  EXPECT_GT(medium.grid_rebuckets(), 0u);
+}
+
+// --- motion horizon: saturation --------------------------------------
+// validate() accepts any positive speed ceiling. At 1e-12 m/s the horizon
+// distance / max_speed is ~5e13 s, past the int64 microsecond range: it
+// must saturate, never wrap into the past.
+
+TEST(SpatialIndexHorizon, TinyDeclaredSpeedSaturatesInsteadOfOverflowing) {
+  sim::Simulator sim;
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
+                indexed(NeighborIndex::kGrid));
+  RadioConfig crawl;
+  crawl.max_speed_mps = 1e-12;
+  Radio slow(medium, wire::MacAddress(1), [] { return Position{50.0, 50.0}; },
+             crawl);
+  Radio peer(medium, wire::MacAddress(2), [] { return Position{60.0, 50.0}; },
+             crawl);
+  int received = 0;
+  peer.set_receiver([&received](const wire::Frame&) { ++received; });
+  slow.tune(6);
+  peer.tune(6);
+  EXPECT_GE(MediumTestPeer::safe_until(medium, slow), sim.now());
+  sim.run_until(sec(5));
+  slow.send(broadcast_frame());
+  sim.run_until(sec(6));
+  EXPECT_EQ(received, 1);
+  EXPECT_GE(MediumTestPeer::safe_until(medium, slow), sim.now());
+  EXPECT_GE(MediumTestPeer::safe_until(medium, peer), sim.now());
 }
 
 // --- property: the grid actually prunes ------------------------------
@@ -510,25 +731,41 @@ TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
   }
   EXPECT_EQ(results[0].delivered, results[1].delivered);
   EXPECT_GT(results[1].candidates, 4 * results[0].candidates)
-      << "grid pruned too little on a 4.7 km line of 100 m cells";
+      << "grid pruned too little on a 4.7 km line of 112.5 m cells";
 }
 
 // --- configuration ---------------------------------------------------
 
 TEST(SpatialIndexConfig, CellSizeClampsUpToPropagationRange) {
+  // The floor is range + slack with slack = range / 8: 112.5 m at 100 m.
   sim::Simulator sim;
   MediumConfig mc;
   mc.grid_cell_m = 10.0;  // below range: unsound, must clamp up
   Medium clamped(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 100.0);
+  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 112.5);
+  EXPECT_DOUBLE_EQ(clamped.grid_slack_m(), 12.5);
 
-  mc.grid_cell_m = 250.0;  // above range: honored (coarser is always sound)
+  mc.grid_cell_m = 100.0;  // exactly range: no slack left, must clamp up
+  Medium at_range(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
+  EXPECT_DOUBLE_EQ(at_range.grid_cell_m(), 112.5);
+
+  mc.grid_cell_m = 112.5;  // exactly the floor: honored
+  Medium at_floor(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
+  EXPECT_DOUBLE_EQ(at_floor.grid_cell_m(), 112.5);
+
+  mc.grid_cell_m = 250.0;  // above the floor: honored (coarser is sound)
   Medium coarse(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
   EXPECT_DOUBLE_EQ(coarse.grid_cell_m(), 250.0);
+  EXPECT_DOUBLE_EQ(coarse.grid_slack_m(), 150.0);
 
   Medium derived(sim, Propagation(lossless_config(100.0)), Rng(1));
-  EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 100.0);
+  EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 112.5);
   EXPECT_EQ(derived.config().neighbor_index, NeighborIndex::kGrid);
+
+  // Degenerate zero range keeps a positive cell and slack.
+  Medium zero(sim, Propagation(lossless_config(0.0)), Rng(1));
+  EXPECT_GT(zero.grid_cell_m(), 0.0);
+  EXPECT_GT(zero.grid_slack_m(), 0.0);
 }
 
 TEST(SpatialIndexConfig, BruteForceScansNoCells) {
