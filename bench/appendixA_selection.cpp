@@ -3,7 +3,6 @@
 // heuristic (Design Choice 2): the exact optimum's work grows as 2^n while
 // a greedy pass stays linear and captures most of the value.
 
-#include <chrono>
 #include <cstdio>
 
 #include "analysis/selection_opt.hpp"
@@ -19,7 +18,7 @@ int main() {
 
   Rng rng(7);
   TextTable table({"n APs", "exact value", "greedy value", "greedy/exact",
-                   "dp value", "exact work", "greedy work", "exact time(us)"});
+                   "dp value", "exact work", "greedy work"});
 
   for (std::size_t n : {4u, 8u, 12u, 16u, 20u, 22u}) {
     std::vector<ApCandidate> candidates;
@@ -30,9 +29,7 @@ int main() {
     }
     const double budget = 40.0;
 
-    const auto t0 = std::chrono::steady_clock::now();
     const auto exact = select_exhaustive(candidates, budget);
-    const auto t1 = std::chrono::steady_clock::now();
     const auto greedy = select_greedy(candidates, budget);
     const auto dp = select_knapsack_dp(candidates, budget, 0.05);
 
@@ -44,9 +41,6 @@ int main() {
         TextTable::num(dp.value, 1),
         std::to_string(exact.nodes_explored),
         std::to_string(greedy.nodes_explored),
-        std::to_string(
-            std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-                .count()),
     });
   }
   table.print(std::cout);

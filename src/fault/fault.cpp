@@ -58,11 +58,6 @@ bool needs_network(FaultKind kind) {
   }
 }
 
-bool is_channel_fault(FaultKind kind) {
-  return kind == FaultKind::kChannelBurstLoss ||
-         kind == FaultKind::kChannelInterference;
-}
-
 }  // namespace
 
 std::uint64_t fault_stream_seed(std::uint64_t scenario_seed) {

@@ -60,6 +60,13 @@ const char* to_string(FaultKind kind);
 /// unknown name. Used by scenario serde to carry schedules across the wire.
 bool fault_kind_from_string(const std::string& name, FaultKind* out);
 
+/// Channel faults target an 802.11 channel number; every other kind
+/// targets an AP.
+inline bool is_channel_fault(FaultKind kind) {
+  return kind == FaultKind::kChannelBurstLoss ||
+         kind == FaultKind::kChannelInterference;
+}
+
 /// Sentinel target for entity-kind faults: the fault applies to every
 /// registered AP at once (a shared backhaul dying takes every gateway with
 /// it). Any negative target means "all"; this name is the canonical one.

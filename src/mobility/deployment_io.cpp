@@ -42,17 +42,23 @@ std::vector<ApSite> read_sites_csv(std::istream& is) {
                                ": expected 5 columns, got " +
                                std::to_string(cells.size()));
     }
+    ApSite site;
     try {
-      ApSite site;
       site.position = {std::stod(cells[0]), std::stod(cells[1])};
       site.channel = std::stoi(cells[2]);
       site.backhaul = bps(std::stod(cells[3]));
       site.internet_connected = std::stoi(cells[4]) != 0;
-      sites.push_back(site);
     } catch (const std::exception&) {
       throw std::runtime_error("deployment csv line " + std::to_string(line_no) +
                                ": malformed value");
     }
+    if (!wire::in_band(site.channel)) {
+      throw std::runtime_error(
+          "deployment csv line " + std::to_string(line_no) + ": channel " +
+          std::to_string(site.channel) + " is outside 1.." +
+          std::to_string(wire::kMaxChannel));
+    }
+    sites.push_back(site);
   }
   return sites;
 }

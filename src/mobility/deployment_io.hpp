@@ -14,7 +14,8 @@ namespace spider::mob {
 ///   x,y,channel,backhaul_bps,connected
 ///
 /// Writers emit a header; readers accept files with or without one and
-/// throw std::runtime_error on malformed rows.
+/// throw std::runtime_error, naming the line, on malformed rows and on
+/// channels outside the modelled band.
 
 void write_sites_csv(std::ostream& os, const std::vector<ApSite>& sites);
 bool write_sites_csv(const std::string& path, const std::vector<ApSite>& sites);

@@ -157,58 +157,37 @@ Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
       config_(config),
       // Correctness of the 3x3 neighborhood needs cell >= range + slack (a
       // radio at exactly range_m, bucketed up to the slack outside its
-      // cell, must land no further than one cell away); clamp explicit
-      // overrides up, and keep a floor for degenerate zero-range
-      // propagation configs so cell_coord never divides by zero and the
-      // slack stays positive.
-      cell_m_(std::max({config.grid_cell_m,
-                        propagation_.config().range_m * kCellOverRange,
-                        1e-3})),
+      // cell, must land no further than one cell away). The floor keeps
+      // degenerate zero-range propagation configs from dividing by zero in
+      // cell_coord and keeps the slack positive.
+      cell_m_(std::max(propagation_.config().range_m * kCellOverRange, 1e-3)),
       slack_m_(cell_m_ - propagation_.config().range_m) {
   last_refresh_.fill(Time{-1});
 }
 
-Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-               int retry_limit)
-    : Medium(simulator, propagation, rng,
-             MediumConfig{.retry_limit = retry_limit}) {}
+void Medium::check_channel(wire::Channel channel, const char* where) {
+  if (wire::in_band(channel)) return;
+  char what[96];
+  std::snprintf(what, sizeof(what), "%s: channel %d is outside 1..%d", where,
+                channel, wire::kMaxChannel);
+  grid_fatal(what);
+}
 
 void Medium::set_channel_impairment(wire::Channel channel, double extra_loss) {
+  check_channel(channel, "set_channel_impairment");
   const double clamped = std::clamp(extra_loss, 0.0, 1.0);
-  if (flat_channel(channel)) {
-    impairment_flat_[static_cast<std::size_t>(channel)] = clamped;
-  } else {
-    impairments_other_[channel] = clamped;
-  }
+  impairments_[static_cast<std::size_t>(channel)] = clamped;
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kImpairmentSet,
                .channel = static_cast<std::int16_t>(channel),
                .track = obs::track::channel(channel), .value = clamped);
 }
 
 void Medium::clear_channel_impairment(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    impairment_flat_[static_cast<std::size_t>(channel)] = 0.0;
-  } else {
-    impairments_other_.erase(channel);
-  }
+  check_channel(channel, "clear_channel_impairment");
+  impairments_[static_cast<std::size_t>(channel)] = 0.0;
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kImpairmentClear,
                .channel = static_cast<std::int16_t>(channel),
                .track = obs::track::channel(channel));
-}
-
-double Medium::channel_impairment(wire::Channel channel) const {
-  if (flat_channel(channel)) {
-    return impairment_flat_[static_cast<std::size_t>(channel)];
-  }
-  auto it = impairments_other_.find(channel);
-  return it == impairments_other_.end() ? 0.0 : it->second;
-}
-
-std::vector<std::uint32_t>& Medium::cohort(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return cohorts_[static_cast<std::size_t>(channel)];
-  }
-  return cohorts_other_[channel];
 }
 
 void Medium::cohort_insert(wire::Channel channel, std::uint32_t slot) {
@@ -232,27 +211,6 @@ void Medium::cohort_remove(wire::Channel channel, std::uint32_t slot) {
 
 std::int32_t Medium::cell_coord(double meters) const {
   return static_cast<std::int32_t>(std::floor(meters / cell_m_));
-}
-
-Medium::ChannelGrid& Medium::grid(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return grids_[static_cast<std::size_t>(channel)];
-  }
-  return grids_other_[channel];
-}
-
-std::vector<std::uint32_t>& Medium::mobiles(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return mobile_slots_[static_cast<std::size_t>(channel)];
-  }
-  return mobile_other_[channel];
-}
-
-Time& Medium::last_refresh(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return last_refresh_[static_cast<std::size_t>(channel)];
-  }
-  return last_refresh_other_.try_emplace(channel, Time{-1}).first->second;
 }
 
 void Medium::grid_fatal(const char* what) {
@@ -317,7 +275,7 @@ void Medium::grid_remove(wire::Channel channel, std::uint32_t slot) {
 
 void Medium::refresh_mobile_buckets(wire::Channel channel) {
   const Time now = sim_.now();
-  Time& last = last_refresh(channel);
+  Time& last = last_refresh_[static_cast<std::size_t>(channel)];
   if (now == last) return;
   last = now;
   ChannelGrid& g = grid(channel);
@@ -436,6 +394,7 @@ std::uint32_t Medium::allocate_slot() {
 }
 
 void Medium::attach(Radio& radio) {
+  check_channel(radio.channel(), "attach");
   const std::uint32_t slot = allocate_slot();
   Slot& s = slots_[slot];
   s.radio = &radio;
@@ -472,6 +431,7 @@ void Medium::detach(Radio& radio) {
 }
 
 void Medium::retune(Radio& radio, wire::Channel old_channel) {
+  check_channel(radio.channel(), "retune");
   cohort_remove(old_channel, radio.medium_slot_);
   cohort_insert(radio.channel(), radio.medium_slot_);
   if (grid_enabled()) {
@@ -520,7 +480,7 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
 
   const Time now = sim_.now();
   const Time arrival = airtime(frame.size_bytes, sender.config().phy_rate);
-  const double impairment = channel_impairment(channel);
+  const double impairment = impairments_[static_cast<std::size_t>(channel)];
 
   // One pooled body cell for every receiver; reception-time fields (rssi)
   // are patched per delivery just before the upcall. Each scheduled
@@ -554,7 +514,7 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
     // else (and all broadcast traffic) gets a single shot.
     const bool arq = !body.dst.is_broadcast() &&
                      slots_[rx_slot].radio->owns_address(body.dst);
-    const int attempts_allowed = arq ? 1 + config_.retry_limit : 1;
+    const int attempts_allowed = arq ? 1 + kMediumDefaultRetryLimit : 1;
     int attempt = 1;
     while (attempt <= attempts_allowed && rng_.chance(p_loss)) ++attempt;
     if (attempt > attempts_allowed) return;  // lost despite retries

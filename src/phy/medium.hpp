@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "phy/propagation.hpp"
@@ -38,14 +37,10 @@ inline constexpr int kMediumDefaultRetryLimit = 4;
 
 /// Construction-time knobs of the medium. The neighbor index is fixed for
 /// the medium's lifetime — differential tests build one medium per mode.
+/// The grid cell edge is not a knob: it is always range * 9/8, the sizing
+/// the 3x3 neighborhood's soundness argument rests on (DESIGN.md §10).
 struct MediumConfig {
   NeighborIndex neighbor_index = NeighborIndex::kGrid;
-  /// Grid cell edge in meters. 0 derives it as range * 9/8; explicit values
-  /// below that are clamped up to it (correctness of the 3x3 neighborhood
-  /// requires cell >= range + slack with a positive slack, DESIGN.md §10).
-  double grid_cell_m = 0.0;
-  /// 802.11 ARQ retry budget for unicast frames to their addressee.
-  int retry_limit = kMediumDefaultRetryLimit;
 };
 
 /// The shared wireless medium.
@@ -57,12 +52,12 @@ struct MediumConfig {
 /// arrive after their serialisation airtime.
 ///
 /// 802.11 link-layer ARQ is modelled statistically: a unicast frame is
-/// retransmitted up to `retry_limit` times, so its delivery probability to
-/// its addressee is 1 - p^(retries+1) with each extra attempt adding one
-/// airtime of latency. Broadcast frames (beacons, probe requests) get a
-/// single attempt, as on real hardware — which is exactly why the paper's
-/// join model sees a flat per-message loss h on the handshake while bulk
-/// TCP rides an almost-lossless link inside the cell.
+/// retransmitted up to kMediumDefaultRetryLimit times, so its delivery
+/// probability to its addressee is 1 - p^(retries+1) with each extra
+/// attempt adding one airtime of latency. Broadcast frames (beacons, probe
+/// requests) get a single attempt, as on real hardware — which is exactly
+/// why the paper's join model sees a flat per-message loss h on the
+/// handshake while bulk TCP rides an almost-lossless link inside the cell.
 ///
 /// Deliberate simplification: there is no CSMA/collision model. The paper's
 /// effects come from scheduling, handshake timeouts and backhaul limits, not
@@ -96,16 +91,8 @@ struct MediumConfig {
 /// allocations in steady state.
 class Medium {
  public:
-  /// Back-compat alias for the ARQ default (see kMediumDefaultRetryLimit).
-  /// Sweeps (fault-resilience, ARQ ablations) pass their own limit via
-  /// MediumConfig or the retry-limit constructor.
-  static constexpr int kDefaultRetryLimit = kMediumDefaultRetryLimit;
-
   Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
          MediumConfig config = {});
-  /// Convenience for callers that only tweak the ARQ budget.
-  Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-         int retry_limit);
 
   /// Radios self-register from their constructor/destructor.
   void attach(Radio& radio);
@@ -117,10 +104,9 @@ class Medium {
 
   const Propagation& propagation() const { return propagation_; }
   sim::Simulator& simulator() { return sim_; }
-  int retry_limit() const { return config_.retry_limit; }
   const MediumConfig& config() const { return config_; }
-  /// Grid cell edge actually in use (range * 9/8 unless overridden larger).
-  double grid_cell_m() const { return cell_m_; }
+  /// Grid cell edge in use: range * 9/8.
+  double grid_cell_edge_m() const { return cell_m_; }
   /// Bucket hysteresis: how far a mobile may stray outside its bucket's
   /// cell before the sweep rebuckets it (cell edge minus propagation range).
   double grid_slack_m() const { return slack_m_; }
@@ -131,7 +117,10 @@ class Medium {
   void set_channel_impairment(wire::Channel channel, double extra_loss);
   void clear_channel_impairment(wire::Channel channel);
   /// Current extra loss on `channel` (0 when unimpaired).
-  double channel_impairment(wire::Channel channel) const;
+  double channel_impairment(wire::Channel channel) const {
+    check_channel(channel, "channel_impairment");
+    return impairments_[static_cast<std::size_t>(channel)];
+  }
 
   /// Airtime of a frame of `bytes` at `rate` (PLCP preamble + payload).
   static Time airtime(std::size_t bytes, BitRate rate);
@@ -221,16 +210,18 @@ class Medium {
     bool mobile = false;  ///< member of the position-epoch sweep
   };
 
-  /// Channels below this bound (the whole 2.4 GHz band; the paper sweeps
-  /// {1,6,11}) use flat arrays for the per-channel radio cohort and the
-  /// impairment lookup — no hashing on the transmit path. Anything else
-  /// falls back to maps.
-  static constexpr int kFlatChannels = 15;
-  static bool flat_channel(wire::Channel c) {
-    return c >= 0 && c < kFlatChannels;
-  }
+  /// Per-channel tables are flat arrays indexed by channel number (entry 0
+  /// unused), so the transmit path does no hashing and no range check:
+  /// attach and retune have already vetted every channel a radio can be on.
+  static constexpr std::size_t kChannelSlots = wire::kMaxChannel + 1;
+  /// Aborts through grid_fatal unless wire::in_band(channel).
+  /// ScenarioConfig::validate() rejects off-band channels before a medium
+  /// is ever built, so only a direct caller's bug lands here.
+  static void check_channel(wire::Channel channel, const char* where);
 
-  std::vector<std::uint32_t>& cohort(wire::Channel channel);
+  std::vector<std::uint32_t>& cohort(wire::Channel channel) {
+    return cohorts_[static_cast<std::size_t>(channel)];
+  }
   void cohort_insert(wire::Channel channel, std::uint32_t slot);
   void cohort_remove(wire::Channel channel, std::uint32_t slot);
   /// Called by Radio when its tuned channel actually changes.
@@ -303,13 +294,16 @@ class Medium {
            static_cast<std::uint32_t>(cy);
   }
   std::int32_t cell_coord(double meters) const;
-  ChannelGrid& grid(wire::Channel channel);
+  ChannelGrid& grid(wire::Channel channel) {
+    return grids_[static_cast<std::size_t>(channel)];
+  }
   void grid_insert(wire::Channel channel, std::uint32_t slot,
                    const Position& pos);
   void grid_remove(wire::Channel channel, std::uint32_t slot);
   /// Invariant breach on the grid hot path (a slot absent from its recorded
-  /// cell): prints and aborts in every build flavour. Release builds used
-  /// to ride an assert straight into UB on the dangling lookup.
+  /// cell) or an off-band channel at a cold entry point: prints and aborts
+  /// in every build flavour. Release builds used to ride an assert straight
+  /// into UB on the dangling lookup.
   [[noreturn]] static void grid_fatal(const char* what);
   /// Per-channel position-epoch sweep: once per distinct sim timestamp
   /// *per channel*, re-sample that channel's mobile radios, refresh their
@@ -332,8 +326,9 @@ class Medium {
   /// central per-slot lanes, fresh as of refresh_mobile_buckets.
   void gather_neighborhood(wire::Channel channel, const Position& pos);
 
-  std::vector<std::uint32_t>& mobiles(wire::Channel channel);
-  Time& last_refresh(wire::Channel channel);
+  std::vector<std::uint32_t>& mobiles(wire::Channel channel) {
+    return mobile_slots_[static_cast<std::size_t>(channel)];
+  }
 
   sim::Simulator& sim_;
   Propagation propagation_;
@@ -348,22 +343,18 @@ class Medium {
   /// Per-channel cohorts of slot ids, ordered by attach_seq so transmit
   /// examines same-channel radios in exactly the order the old full-table
   /// scan did (RNG draw order is part of the determinism contract).
-  std::array<std::vector<std::uint32_t>, kFlatChannels> cohorts_;
-  std::unordered_map<wire::Channel, std::vector<std::uint32_t>> cohorts_other_;
+  std::array<std::vector<std::uint32_t>, kChannelSlots> cohorts_;
 
-  std::array<ChannelGrid, kFlatChannels> grids_;
-  std::unordered_map<wire::Channel, ChannelGrid> grids_other_;
+  std::array<ChannelGrid, kChannelSlots> grids_;
   /// Per-channel rosters of mobile slots (position-epoch sweep membership),
   /// so a transmit sweeps only its own channel's mobiles. Order is
   /// irrelevant for determinism — rebucketing consumes no RNG — but kept
   /// stable anyway.
-  std::array<std::vector<std::uint32_t>, kFlatChannels> mobile_slots_;
-  std::unordered_map<wire::Channel, std::vector<std::uint32_t>> mobile_other_;
+  std::array<std::vector<std::uint32_t>, kChannelSlots> mobile_slots_;
   /// Sim timestamp of the last mobile sweep per channel; positions are pure
   /// functions of sim time, so a channel's buckets refreshed at `now` stay
   /// exact until the clock advances.
-  std::array<Time, kFlatChannels> last_refresh_;
-  std::unordered_map<wire::Channel, Time> last_refresh_other_;
+  std::array<Time, kChannelSlots> last_refresh_;
   /// Central per-slot position lanes (indexed by slot id). For static
   /// radios they are sampled once at grid_insert; for mobiles the
   /// position-epoch sweep rewrites them each distinct timestamp, so at
@@ -376,8 +367,7 @@ class Medium {
   /// steady-state allocation once its capacity plateaus).
   std::vector<std::uint32_t> scratch_slots_;
 
-  std::array<double, kFlatChannels> impairment_flat_{};
-  std::unordered_map<wire::Channel, double> impairments_other_;
+  std::array<double, kChannelSlots> impairments_{};
 
   /// One transmitted frame body shared by its whole fan-out. `refs` counts
   /// scheduled deliveries still in flight (non-atomic: the medium lives on

@@ -14,8 +14,8 @@
 // in-process and verifies the digests are byte-identical.
 //
 // --scenario-json seeds the base scenario from the shared scenario JSON
-// round trip (the same format the serve protocol speaks, including
-// client_mix and impairments); later flags override its fields. --trace
+// round trip (the same format the serve protocol speaks, including the
+// impairments extension); later flags override its fields. --trace
 // replays a recorded channel-occupancy file (CSV/JSONL) as the campaign's
 // impairment source.
 //

@@ -43,10 +43,11 @@ struct RunStats {
 /// Scenario serde: forwarders over the one shared round trip in
 /// trace/scenario_json.hpp (also used by spider_campaign and the trace
 /// tooling), covering the protocol subset of ScenarioConfig plus the
-/// client_mix/impairments extensions. parse is strict — an unknown
-/// scenario key or malformed value fails with a field-named error, so a
-/// client typo cannot silently diverge from the intended experiment (the
-/// campaign merge-equals-serial check depends on nothing being dropped).
+/// impairments extension. parse is strict — an unknown scenario key, a
+/// mistyped value or an out-of-range integer fails with a field-named
+/// error, so a client typo cannot silently diverge from the intended
+/// experiment (the campaign merge-equals-serial check depends on nothing
+/// being dropped).
 bool parse_scenario(const util::Json& json, trace::ScenarioConfig* config,
                     std::string* error);
 void write_scenario_json(std::ostream& os,

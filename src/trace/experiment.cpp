@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "core/adaptive.hpp"
 #include "core/spider_driver.hpp"
 #include "mobility/mobility.hpp"
 #include "obs/tracer.hpp"
@@ -20,15 +21,6 @@ const char* to_string(DriverKind k) {
     case DriverKind::kFatVap: return "fatvap";
   }
   return "?";
-}
-
-int ScenarioConfig::resolved_clients() const {
-  if (client_mix.empty()) return std::max(1, clients);
-  int total = 0;
-  for (const ClientMixEntry& entry : client_mix) {
-    total += std::max(0, entry.count);
-  }
-  return std::max(1, total);
 }
 
 double ScenarioResult::dhcp_failure_fraction() const {
@@ -57,7 +49,6 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   tb_config.seed = config.seed;
   tb_config.propagation = config.propagation;
   tb_config.medium.neighbor_index = config.neighbor_index;
-  tb_config.medium.grid_cell_m = config.grid_cell_m;
   Testbed bed(tb_config);
   if (cancel != nullptr) bed.sim.set_cancel_token(cancel);
   // Installed before any entity schedules work so the trace covers the
@@ -98,9 +89,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     std::unique_ptr<core::LinkManager> manager;
     std::unique_ptr<core::AdaptiveModeController> adaptive;
   };
-  const int clients = config.resolved_clients();
-  const std::vector<ClientProfile> profiles =
-      expand_client_mix(config.client_mix, clients);
+  const int clients = std::max(1, config.clients);
   std::vector<ClientRig> rigs(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     ClientRig& rig = rigs[static_cast<std::size_t>(c)];
@@ -187,23 +176,18 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // Assemble one driver stack per client. Construction and start order per
   // rig matches the old single-client path exactly (driver, manager,
   // harness attach, starts, adaptive), so one-client runs replay the same
-  // event sequence to the byte. Each rig's config starts from the shared
-  // tuned copy and has its mix profile applied on top — a default profile
-  // is the exact identity, so mix-free scenarios are unchanged.
+  // event sequence to the byte. Every rig runs the shared tuned config.
   for (int c = 0; c < clients; ++c) {
     ClientRig& rig = rigs[static_cast<std::size_t>(c)];
-    const ClientProfile& profile = profiles[static_cast<std::size_t>(c)];
     auto position = [route = rig.route.get(), offset = rig.offset,
                      &sim = bed.sim] {
       return route->position_at(sim.now() + offset);
     };
     switch (config.driver) {
       case DriverKind::kSpider: {
-        core::SpiderConfig rig_cfg = spider_cfg;
-        profile.apply(rig_cfg);
         rig.spider = std::make_unique<core::SpiderDriver>(
             bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg);
+            spider_cfg);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.spider, bed.server_ip());
         harness.attach(*rig.manager);
@@ -211,28 +195,23 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
         rig.manager->start();
         if (config.adaptive) {
           rig.adaptive = std::make_unique<core::AdaptiveModeController>(
-              *rig.spider, [speed = config.speed_mps] { return speed; },
-              config.adaptive_config);
+              *rig.spider, [speed = config.speed_mps] { return speed; });
           rig.adaptive->start();
         }
         break;
       }
       case DriverKind::kStock: {
-        base::StockConfig rig_cfg = stock_cfg;
-        profile.apply(rig_cfg);
         rig.stock = std::make_unique<base::StockWifiDriver>(
             bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg, bed.server_ip());
+            stock_cfg, bed.server_ip());
         harness.attach(*rig.stock);
         rig.stock->start();
         break;
       }
       case DriverKind::kFatVap: {
-        core::SpiderConfig rig_cfg = spider_cfg;
-        profile.apply(rig_cfg);
         rig.fatvap = std::make_unique<base::FatVapDriver>(
             bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg, config.fatvap);
+            spider_cfg, config.fatvap);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.fatvap, bed.server_ip());
         harness.attach(*rig.manager);

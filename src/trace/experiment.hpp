@@ -7,11 +7,9 @@
 #include "baseline/fatvap.hpp"
 #include "baseline/stock_wifi.hpp"
 #include "core/config.hpp"
-#include "core/adaptive.hpp"
 #include "core/link_manager.hpp"
 #include "fault/fault.hpp"
 #include "mobility/deployment.hpp"
-#include "trace/client_profile.hpp"
 #include "trace/impairment.hpp"
 #include "net/dhcp_server.hpp"
 #include "obs/metrics.hpp"
@@ -43,17 +41,8 @@ struct ScenarioConfig {
   /// draws its own block tour. Every client runs its own driver stack and
   /// download harness; result fields pool across clients (join logs
   /// concatenate in client order, switches sum, latency stats merge).
-  /// Ignored when `client_mix` is non-empty — the mix then defines both
-  /// the population size and each client's behaviour profile.
+  /// Runs clamp it at 1; validate() rejects anything below.
   int clients = 1;
-  /// Heterogeneous population: ordered (profile, count) slices expanded
-  /// mix-order-major at rig assembly (see ClientProfile). Empty keeps the
-  /// homogeneous `clients`-sized rig, byte-identical to pre-mix builds.
-  ClientMix client_mix;
-
-  /// Client count this config actually runs: the mix's total when one is
-  /// given, `clients` otherwise (always >= 1).
-  int resolved_clients() const;
 
   mob::DeploymentConfig deployment;
   /// When set, the AP population and client routes come from a 2-D city
@@ -66,12 +55,9 @@ struct ScenarioConfig {
   phy::PropagationConfig propagation;
   /// Medium neighbor search: the spatial grid by default; brute force is
   /// the differential-test oracle (results are byte-identical in both
-  /// modes).
+  /// modes). The grid's cell edge always derives from the propagation
+  /// range (DESIGN.md §10).
   phy::NeighborIndex neighbor_index = phy::NeighborIndex::kGrid;
-  /// Explicit grid cell edge in meters (0 derives it from the propagation
-  /// range). Non-zero values below the range are a config error — the
-  /// medium would silently clamp them — and are rejected by validate().
-  double grid_cell_m = 0.0;
   net::DhcpServerConfig dhcp_server;
   Time backhaul_delay = msec(10);
 
@@ -81,9 +67,8 @@ struct ScenarioConfig {
   base::FatVapConfig fatvap;
   /// Spider only: enable the §4.8 speed-adaptive mode controller (the
   /// scenario's constant speed feeds it; the initial mode comes from
-  /// `spider.mode`).
+  /// `spider.mode`, the thresholds from core::AdaptiveConfig's defaults).
   bool adaptive = false;
-  core::AdaptiveConfig adaptive_config;
 
   /// What impairs this run: a synthetic fault timeline, a recorded
   /// channel-occupancy trace file, or an inline timeline (see
@@ -96,8 +81,9 @@ struct ScenarioConfig {
   Time metrics_bin = sec(1);
 
   /// Structural sanity check, run before any simulator state is built:
-  /// non-positive durations/rates/counts, a grid cell below the
-  /// propagation range, malformed city geometry, degenerate channel mixes.
+  /// non-positive durations/rates/counts, malformed city geometry,
+  /// degenerate channel mixes or operation modes, and any channel outside
+  /// the 2.4 GHz band (1..14).
   /// Empty result means the config is runnable; callers that cannot
   /// continue (benches, the scenario server) surface the issues as an
   /// RunErrorKind::kInvalidConfig instead of asserting mid-run.

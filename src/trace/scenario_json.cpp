@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -24,6 +26,50 @@ bool driver_from_string(const std::string& name, DriverKind* out) {
 bool set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+// Typed value readers shared by every scenario key. A mistyped value fails
+// with the field's name instead of silently running the default, and an
+// integer outside its target type is rejected before the cast (converting
+// such a double is undefined behaviour).
+
+bool read_number(const Json& value, const std::string& field, double* out,
+                 std::string* error) {
+  if (!value.is_number()) return set_error(error, field + " must be a number");
+  *out = value.number_or(0.0);
+  return true;
+}
+
+/// Integers a double holds exactly end at 2^53, so the accepted range is
+/// clipped there as well as to `Int`: every value in it converts exactly.
+template <typename Int>
+bool read_integer(const Json& value, const std::string& field, Int* out,
+                  std::string* error) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  constexpr double lo =
+      std::max<double>(std::numeric_limits<Int>::min(), -kExact);
+  constexpr double hi =
+      std::min<double>(std::numeric_limits<Int>::max(), kExact);
+  double v = 0.0;
+  if (!read_number(value, field, &v, error)) return false;
+  if (!(v >= lo && v <= hi) || v != std::trunc(v)) {
+    return set_error(error, field + " must be an integer in [" +
+                                std::to_string(static_cast<std::int64_t>(lo)) +
+                                ", " +
+                                std::to_string(static_cast<std::int64_t>(hi)) +
+                                "]");
+  }
+  *out = static_cast<Int>(v);
+  return true;
+}
+
+bool read_bool(const Json& value, const std::string& field, bool* out,
+               std::string* error) {
+  if (!value.is_bool()) {
+    return set_error(error, field + " must be true or false");
+  }
+  *out = value.bool_or(false);
+  return true;
 }
 
 /// Rounding second/millisecond parsers for the extension fields: a Time
@@ -53,6 +99,9 @@ bool parse_replay(const Json& json, tracein::ReplayOptions* replay,
     return set_error(error, "impairments.replay must be a JSON object");
   }
   for (const auto& [key, value] : json.members()) {
+    const std::string field = "impairments.replay." + key;
+    bool ok = true;
+    double v = 0.0;
     if (key == "mapping") {
       if (!value.is_string() ||
           !tracein::replay_mapping_from_string(value.string_value(),
@@ -62,33 +111,20 @@ bool parse_replay(const Json& json, tracein::ReplayOptions* replay,
                          "interference|burst");
       }
     } else if (key == "loss_scale") {
-      if (!value.is_number()) {
-        return set_error(error,
-                         "impairments.replay.loss_scale must be a number");
-      }
-      replay->loss_scale = value.number_or(0.0);
+      ok = read_number(value, field, &replay->loss_scale, error);
     } else if (key == "min_occupancy") {
-      if (!value.is_number()) {
-        return set_error(error,
-                         "impairments.replay.min_occupancy must be a number");
-      }
-      replay->min_occupancy = value.number_or(0.0);
+      ok = read_number(value, field, &replay->min_occupancy, error);
     } else if (key == "tail_window_s") {
-      if (!value.is_number()) {
-        return set_error(error,
-                         "impairments.replay.tail_window_s must be a number");
-      }
-      replay->tail_window = seconds_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      replay->tail_window = seconds_exact(v);
     } else if (key == "burst_dwell_ms") {
-      if (!value.is_number()) {
-        return set_error(error,
-                         "impairments.replay.burst_dwell_ms must be a number");
-      }
-      replay->burst_dwell = millis_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      replay->burst_dwell = millis_exact(v);
     } else {
       return set_error(error,
                        "unknown impairments.replay key '" + key + "'");
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -101,44 +137,34 @@ bool parse_fault_spec(const Json& json, std::size_t index,
     return set_error(error, prefix + " must be a JSON object");
   }
   for (const auto& [key, value] : json.members()) {
+    const std::string field = prefix + "." + key;
+    bool ok = true;
+    double v = 0.0;
     if (key == "kind") {
       if (!value.is_string() ||
           !fault::fault_kind_from_string(value.string_value(), &spec->kind)) {
         return set_error(error, prefix + ".kind is not a known fault kind");
       }
     } else if (key == "at_s") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".at_s must be a number");
-      }
-      spec->at = seconds_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      spec->at = seconds_exact(v);
     } else if (key == "duration_s") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".duration_s must be a number");
-      }
-      spec->duration = seconds_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      spec->duration = seconds_exact(v);
     } else if (key == "target") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".target must be a number");
-      }
-      spec->target = static_cast<int>(value.number_or(0.0));
+      ok = read_integer(value, field, &spec->target, error);
     } else if (key == "intensity") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".intensity must be a number");
-      }
-      spec->intensity = value.number_or(0.0);
+      ok = read_number(value, field, &spec->intensity, error);
     } else if (key == "burst_ms") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".burst_ms must be a number");
-      }
-      spec->burst_mean = millis_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      spec->burst_mean = millis_exact(v);
     } else if (key == "gap_ms") {
-      if (!value.is_number()) {
-        return set_error(error, prefix + ".gap_ms must be a number");
-      }
-      spec->gap_mean = millis_exact(value.number_or(0.0));
+      ok = read_number(value, field, &v, error);
+      spec->gap_mean = millis_exact(v);
     } else {
       return set_error(error, "unknown " + prefix + " key '" + key + "'");
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -204,8 +230,10 @@ bool parse_impairments(const Json& json, ImpairmentSource* out,
         }
         tracein::OccupancySample sample;
         sample.at = seconds_exact(row.elements()[0].number_or(0.0));
-        sample.channel =
-            static_cast<wire::Channel>(row.elements()[1].number_or(0.0));
+        if (!read_integer(row.elements()[1], prefix + "[1]", &sample.channel,
+                          error)) {
+          return false;
+        }
         sample.occupancy = row.elements()[2].number_or(0.0);
         src.timeline.samples.push_back(sample);
       }
@@ -220,66 +248,6 @@ bool parse_impairments(const Json& json, ImpairmentSource* out,
     }
   }
   *out = std::move(src);
-  return true;
-}
-
-bool parse_client_mix(const Json& json, ClientMix* out, std::string* error) {
-  if (!json.is_array()) {
-    return set_error(error, "client_mix must be an array");
-  }
-  ClientMix mix;
-  for (std::size_t i = 0; i < json.elements().size(); ++i) {
-    const Json& entry = json.elements()[i];
-    const std::string prefix = "client_mix[" + std::to_string(i) + "]";
-    if (!entry.is_object()) {
-      return set_error(error, prefix + " must be a JSON object");
-    }
-    ClientMixEntry e;
-    // The preset seeds the knobs, then explicit knob keys override — a
-    // wire entry is "a named profile, possibly customized".
-    const Json* profile = entry.find("profile");
-    if (profile != nullptr) {
-      ClientProfileKind kind;
-      if (!profile->is_string() ||
-          !client_profile_kind_from_string(profile->string_value(), &kind)) {
-        return set_error(error,
-                         prefix +
-                             ".profile must be default|aggressive-scanner|"
-                             "sticky-device|psm-phone");
-      }
-      e.profile = ClientProfile::preset(kind);
-    }
-    for (const auto& [key, value] : entry.members()) {
-      if (key == "profile") {
-        continue;
-      } else if (key == "count") {
-        if (!value.is_number()) {
-          return set_error(error, prefix + ".count must be a number");
-        }
-        e.count = static_cast<int>(value.number_or(0.0));
-      } else if (key == "scan_aggressiveness") {
-        if (!value.is_number()) {
-          return set_error(error,
-                           prefix + ".scan_aggressiveness must be a number");
-        }
-        e.profile.scan_aggressiveness = value.number_or(0.0);
-      } else if (key == "ap_stickiness") {
-        if (!value.is_number()) {
-          return set_error(error, prefix + ".ap_stickiness must be a number");
-        }
-        e.profile.ap_stickiness = value.number_or(0.0);
-      } else if (key == "psm_duty") {
-        if (!value.is_number()) {
-          return set_error(error, prefix + ".psm_duty must be a number");
-        }
-        e.profile.psm_duty = value.number_or(0.0);
-      } else {
-        return set_error(error, "unknown " + prefix + " key '" + key + "'");
-      }
-    }
-    mix.push_back(e);
-  }
-  *out = std::move(mix);
   return true;
 }
 
@@ -306,7 +274,7 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
      << ",\"neighbor_index\":\""
      << (config.neighbor_index == phy::NeighborIndex::kGrid ? "grid"
                                                             : "brute")
-     << '"' << ",\"grid_cell_m\":" << json_number(config.grid_cell_m);
+     << '"';
   if (config.city) {
     os << ",\"city\":{\"width_m\":" << json_number(config.city->width_m)
        << ",\"height_m\":" << json_number(config.city->height_m)
@@ -316,22 +284,8 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
     os << ",\"road_length_m\":" << json_number(config.deployment.road_length_m)
        << ",\"aps_per_km\":" << json_number(config.deployment.aps_per_km);
   }
-  // Extensions travel only when non-default, so a mix-free, impairment-free
-  // config serializes to the exact pre-extension protocol bytes.
-  if (!config.client_mix.empty()) {
-    os << ",\"client_mix\":[";
-    bool first_entry = true;
-    for (const ClientMixEntry& entry : config.client_mix) {
-      if (!first_entry) os << ',';
-      first_entry = false;
-      os << "{\"profile\":\"" << to_string(entry.profile.kind)
-         << "\",\"count\":" << entry.count << ",\"scan_aggressiveness\":"
-         << json_number(entry.profile.scan_aggressiveness)
-         << ",\"ap_stickiness\":" << json_number(entry.profile.ap_stickiness)
-         << ",\"psm_duty\":" << json_number(entry.profile.psm_duty) << '}';
-    }
-    os << ']';
-  }
+  // The impairments extension travels only when non-default, so an
+  // impairment-free config serializes to the exact pre-extension bytes.
   const ImpairmentSource& imp = config.impairments;
   const bool default_impairments =
       imp.kind == ImpairmentSource::Kind::kSynthetic && imp.schedule.empty();
@@ -395,26 +349,29 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
   }
   ScenarioConfig out;  // protocol defaults = library defaults
   for (const auto& [key, value] : json.members()) {
+    bool ok = true;
+    double v = 0.0;
     if (key == "seed") {
-      out.seed = static_cast<std::uint64_t>(value.number_or(1.0));
+      ok = read_integer(value, key, &out.seed, error);
     } else if (key == "duration_s") {
-      out.duration = sec(value.number_or(0.0));
+      ok = read_number(value, key, &v, error);
+      out.duration = sec(v);
     } else if (key == "speed_mps") {
-      out.speed_mps = value.number_or(-1.0);
+      ok = read_number(value, key, &out.speed_mps, error);
     } else if (key == "clients") {
-      out.clients = static_cast<int>(value.number_or(0.0));
+      ok = read_integer(value, key, &out.clients, error);
     } else if (key == "metrics_bin_s") {
-      out.metrics_bin = sec(value.number_or(0.0));
+      ok = read_number(value, key, &v, error);
+      out.metrics_bin = sec(v);
     } else if (key == "driver") {
       if (!value.is_string() ||
           !driver_from_string(value.string_value(), &out.driver)) {
         return set_error(error, "driver must be spider|stock|fatvap");
       }
     } else if (key == "adaptive") {
-      out.adaptive = value.bool_or(false);
+      ok = read_bool(value, key, &out.adaptive, error);
     } else if (key == "num_interfaces") {
-      out.spider.num_interfaces =
-          static_cast<std::size_t>(value.number_or(0.0));
+      ok = read_integer(value, key, &out.spider.num_interfaces, error);
     } else if (key == "mode") {
       const Json* period = value.find("period_ms");
       const Json* fractions = value.find("fractions");
@@ -423,14 +380,22 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
         return set_error(error, "mode needs period_ms and fractions");
       }
       core::OperationMode mode;
-      mode.period = msec(static_cast<std::int64_t>(period->number_or(0.0)));
-      for (const Json& pair : fractions->elements()) {
+      if (!read_number(*period, "mode.period_ms", &v, error)) return false;
+      mode.period = msec(static_cast<std::int64_t>(v));
+      for (std::size_t i = 0; i < fractions->elements().size(); ++i) {
+        const Json& pair = fractions->elements()[i];
         if (!pair.is_array() || pair.elements().size() != 2) {
           return set_error(error, "mode fraction entries are [channel,frac]");
         }
-        mode.fractions.emplace_back(
-            static_cast<wire::Channel>(pair.elements()[0].number_or(0.0)),
-            pair.elements()[1].number_or(0.0));
+        const std::string prefix = "mode.fractions[" + std::to_string(i) + "]";
+        std::pair<wire::Channel, double> entry;
+        if (!read_integer(pair.elements()[0], prefix + "[0]", &entry.first,
+                          error) ||
+            !read_number(pair.elements()[1], prefix + "[1]", &entry.second,
+                         error)) {
+          return false;
+        }
+        mode.fractions.push_back(entry);
       }
       out.spider.mode = mode;
     } else if (key == "neighbor_index") {
@@ -442,37 +407,35 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
       } else {
         return set_error(error, "neighbor_index must be grid|brute");
       }
-    } else if (key == "grid_cell_m") {
-      out.grid_cell_m = value.number_or(-1.0);
     } else if (key == "road_length_m") {
-      out.deployment.road_length_m = value.number_or(0.0);
+      ok = read_number(value, key, &out.deployment.road_length_m, error);
     } else if (key == "aps_per_km") {
-      out.deployment.aps_per_km = value.number_or(-1.0);
+      ok = read_number(value, key, &out.deployment.aps_per_km, error);
     } else if (key == "city") {
       mob::CityGridConfig city;
       if (!value.is_object()) {
         return set_error(error, "city must be a JSON object");
       }
       for (const auto& [ckey, cvalue] : value.members()) {
-        if (ckey == "width_m") city.width_m = cvalue.number_or(0.0);
-        else if (ckey == "height_m") city.height_m = cvalue.number_or(0.0);
-        else if (ckey == "block_m") city.block_m = cvalue.number_or(0.0);
-        else if (ckey == "aps_per_km2") {
-          city.aps_per_km2 = cvalue.number_or(-1.0);
-        } else {
+        double* field = ckey == "width_m"       ? &city.width_m
+                        : ckey == "height_m"    ? &city.height_m
+                        : ckey == "block_m"     ? &city.block_m
+                        : ckey == "aps_per_km2" ? &city.aps_per_km2
+                                                : nullptr;
+        if (field == nullptr) {
           return set_error(error, "unknown city key '" + ckey + "'");
         }
+        if (!read_number(cvalue, "city." + ckey, field, error)) return false;
       }
       out.city = city;
-    } else if (key == "client_mix") {
-      if (!parse_client_mix(value, &out.client_mix, error)) return false;
     } else if (key == "impairments") {
-      if (!parse_impairments(value, &out.impairments, error)) return false;
+      ok = parse_impairments(value, &out.impairments, error);
     } else {
       // Strict: a dropped key would silently run a different experiment
       // than the client intended.
       return set_error(error, "unknown scenario key '" + key + "'");
     }
+    if (!ok) return false;
   }
   *config = std::move(out);
   return true;

@@ -16,15 +16,14 @@ namespace spider::trace {
 ///
 /// The format covers the protocol subset of ScenarioConfig (seed,
 /// duration/speed/clients, road or city deployment, driver + interface
-/// count + operation mode, neighbor index and grid cell) plus the
-/// declarative extensions: "client_mix" (heterogeneous profiles) and
-/// "impairments" (synthetic schedule | trace file | inline timeline).
-/// Extensions are written only when non-default, so mix-free,
-/// impairment-free configs serialize to the exact pre-extension bytes.
+/// count + operation mode, neighbor index) plus the declarative
+/// "impairments" extension (synthetic schedule | trace file | inline
+/// timeline), written only when non-default.
 ///
-/// parse is strict: an unknown key or malformed value fails with an error
-/// message naming the offending field, so a client typo cannot silently
-/// run a different experiment than intended.
+/// parse is strict: an unknown key, a value of the wrong type (a string
+/// seed, a non-boolean "adaptive") or an integer outside its field's type
+/// fails with an error message naming the offending field, so a client
+/// typo cannot silently run a different experiment than intended.
 bool parse_scenario_json(const util::Json& json, ScenarioConfig* config,
                          std::string* error);
 /// Convenience: parse the textual form (one JSON object).

@@ -28,6 +28,31 @@ std::string join_issues(const std::vector<ConfigIssue>& issues) {
 
 namespace {
 
+/// Flags `channel` against `field` unless it lies in the modelled band; the
+/// medium has no table for any other channel.
+bool check_band(wire::Channel channel, const std::string& field,
+                std::vector<ConfigIssue>& issues) {
+  if (wire::in_band(channel)) return true;
+  issues.push_back({field, "channel " + std::to_string(channel) +
+                               " is outside 1.." +
+                               std::to_string(wire::kMaxChannel)});
+  return false;
+}
+
+/// One issue for the first off-band channel of a list (or for an empty
+/// list: every driver needs somewhere to tune).
+void check_channel_list(const std::vector<wire::Channel>& channels,
+                        const std::string& field,
+                        std::vector<ConfigIssue>& issues) {
+  if (channels.empty()) {
+    issues.push_back({field, "needs at least one channel"});
+    return;
+  }
+  for (const wire::Channel channel : channels) {
+    if (!check_band(channel, field, issues)) return;
+  }
+}
+
 void check_channel_mix(
     const std::vector<std::pair<wire::Channel, double>>& weights,
     const std::string& prefix, std::vector<ConfigIssue>& issues) {
@@ -37,6 +62,7 @@ void check_channel_mix(
   }
   double total = 0.0;
   for (const auto& [channel, weight] : weights) {
+    if (!check_band(channel, prefix + ".channel_weights", issues)) return;
     if (weight < 0.0 || !std::isfinite(weight)) {
       issues.push_back({prefix + ".channel_weights",
                         "weight for channel " + std::to_string(channel) +
@@ -69,6 +95,30 @@ void check_fraction(double v, const std::string& field,
   }
 }
 
+/// The Spider scheduler cycles through the mode's slots, so it needs a
+/// positive period and at least one channel with positive time on it.
+void check_mode(const core::OperationMode& mode,
+                std::vector<ConfigIssue>& issues) {
+  if (mode.period <= Time{0}) {
+    issues.push_back({"spider.mode.period", "must be positive"});
+  }
+  bool any_positive = false;
+  for (const auto& [channel, fraction] : mode.fractions) {
+    if (!check_band(channel, "spider.mode.fractions", issues)) return;
+    if (fraction < 0.0 || !std::isfinite(fraction)) {
+      issues.push_back({"spider.mode.fractions",
+                        "fraction for channel " + std::to_string(channel) +
+                            " must be finite and >= 0"});
+      return;
+    }
+    any_positive = any_positive || fraction > 0.0;
+  }
+  if (!any_positive) {
+    issues.push_back(
+        {"spider.mode.fractions", "no channel has a positive fraction"});
+  }
+}
+
 }  // namespace
 
 std::vector<ConfigIssue> ScenarioConfig::validate() const {
@@ -80,33 +130,8 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
   if (!(speed_mps >= 0.0) || !std::isfinite(speed_mps)) {
     issues.push_back({"speed_mps", "must be finite and >= 0"});
   }
-  if (client_mix.empty()) {
-    if (clients <= 0) {
-      issues.push_back({"clients", "must be >= 1"});
-    }
-  } else {
-    // A non-empty mix replaces `clients` entirely, so its slices carry the
-    // population checks: every slice must contribute and every knob must be
-    // a usable multiplier/fraction.
-    for (std::size_t i = 0; i < client_mix.size(); ++i) {
-      const std::string prefix = "client_mix[" + std::to_string(i) + "]";
-      const ClientMixEntry& entry = client_mix[i];
-      if (entry.count <= 0) {
-        issues.push_back({prefix + ".count", "must be >= 1"});
-      }
-      const ClientProfile& p = entry.profile;
-      if (!(p.scan_aggressiveness > 0.0) ||
-          !std::isfinite(p.scan_aggressiveness)) {
-        issues.push_back(
-            {prefix + ".scan_aggressiveness", "must be finite and > 0"});
-      }
-      if (!(p.ap_stickiness > 0.0) || !std::isfinite(p.ap_stickiness)) {
-        issues.push_back({prefix + ".ap_stickiness", "must be finite and > 0"});
-      }
-      if (p.psm_duty < 0.0 || p.psm_duty > 1.0 || !std::isfinite(p.psm_duty)) {
-        issues.push_back({prefix + ".psm_duty", "must lie in [0, 1]"});
-      }
-    }
+  if (clients <= 0) {
+    issues.push_back({"clients", "must be >= 1"});
   }
   if (metrics_bin <= Time{0}) {
     issues.push_back({"metrics_bin", "must be positive"});
@@ -125,16 +150,13 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
   }
   check_fraction(propagation.base_loss, "propagation.base_loss", issues);
 
-  if (grid_cell_m < 0.0 || !std::isfinite(grid_cell_m)) {
-    issues.push_back({"grid_cell_m", "must be finite and >= 0 (0 = auto)"});
-  } else if (grid_cell_m != 0.0 && grid_cell_m < propagation.range_m) {
-    issues.push_back(
-        {"grid_cell_m",
-         "below the propagation range (" +
-             std::to_string(propagation.range_m) +
-             " m); the 3x3 grid neighborhood would miss in-range radios"});
+  for (std::size_t i = 0; i < fixed_sites.size(); ++i) {
+    if (!check_band(fixed_sites[i].channel,
+                    "fixed_sites[" + std::to_string(i) + "].channel",
+                    issues)) {
+      break;
+    }
   }
-
   if (city) {
     if (!(city->width_m > 0.0) || !(city->height_m > 0.0)) {
       issues.push_back({"city.width_m/height_m", "city area must be > 0"});
@@ -184,13 +206,38 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
       spider.num_interfaces < 1) {
     issues.push_back({"spider.num_interfaces", "must be >= 1"});
   }
+  switch (driver) {
+    case DriverKind::kSpider:
+      check_mode(spider.mode, issues);
+      break;
+    case DriverKind::kStock:
+      check_channel_list(stock.scan_channels, "stock.scan_channels", issues);
+      if (stock.lock_channel) {
+        check_band(*stock.lock_channel, "stock.lock_channel", issues);
+      }
+      break;
+    case DriverKind::kFatVap:
+      check_channel_list(fatvap.channels, "fatvap.channels", issues);
+      break;
+  }
 
   // The impairment source must resolve before any simulator state is
   // built: trace-backed kinds ingest (and line-number-check) their
   // recordings here, so a typo'd path or a malformed row surfaces as an
   // invalid-config against the source's own field, never as a mid-run
-  // failure. Synthetic schedules are builder-constructed and need no check.
-  if (impairments.kind != ImpairmentSource::Kind::kSynthetic) {
+  // failure. Ingest confines a trace's channels to the band; a synthetic
+  // schedule's channel faults are checked here.
+  if (impairments.kind == ImpairmentSource::Kind::kSynthetic) {
+    const auto& specs = impairments.schedule.specs();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (fault::is_channel_fault(specs[i].kind) &&
+          !check_band(specs[i].target,
+                      "impairments.schedule[" + std::to_string(i) + "].target",
+                      issues)) {
+        break;
+      }
+    }
+  } else {
     std::string error;
     if (!impairments.resolve(&error)) {
       issues.push_back({impairments.field_name(), error});

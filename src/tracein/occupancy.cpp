@@ -59,7 +59,7 @@ struct RowChecker {
       fail(line_no, "channel must be an integer");
     }
     const auto channel = static_cast<wire::Channel>(channel_floor);
-    if (!known_channel(channel)) {
+    if (!wire::in_band(channel)) {
       fail(line_no, "unknown channel " + std::to_string(channel) +
                         " (2.4 GHz band is 1..14)");
     }
@@ -147,10 +147,6 @@ bool is_csv_header(const std::string& line) {
 
 }  // namespace
 
-bool known_channel(wire::Channel channel) {
-  return channel >= 1 && channel <= 14;
-}
-
 Time OccupancyTimeline::span() const {
   Time end{0};
   for (const OccupancySample& s : samples) end = std::max(end, s.at);
@@ -174,7 +170,7 @@ std::optional<std::string> OccupancyTimeline::check() const {
     const OccupancySample& s = samples[i];
     const std::string where = "sample " + std::to_string(i);
     if (s.at < Time{0}) return where + ": negative timestamp";
-    if (!known_channel(s.channel)) {
+    if (!wire::in_band(s.channel)) {
       return where + ": unknown channel " + std::to_string(s.channel);
     }
     if (!std::isfinite(s.occupancy) || s.occupancy < 0.0 ||

@@ -57,12 +57,6 @@ struct OccupancyTimeline {
   }
 };
 
-/// Channels a recording may legally name: the 2.4 GHz band the testbed
-/// models (1..14). A row outside this set is a recorder artefact (5 GHz
-/// spill, corrupted column) and fails ingest rather than silently driving
-/// impairments on a channel no radio visits.
-bool known_channel(wire::Channel channel);
-
 /// Ingests one occupancy recording. Two formats, detected per file from
 /// the first data line:
 ///

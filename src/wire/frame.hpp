@@ -9,10 +9,18 @@
 
 namespace spider::wire {
 
-/// 802.11 channel number (1-11 in the 2.4 GHz band). The paper schedules
-/// over the orthogonal set {1, 6, 11}; the medium treats non-identical
-/// channels as non-communicating.
+/// 802.11 channel number in the 2.4 GHz band. The paper schedules over the
+/// orthogonal set {1, 6, 11}; the medium treats non-identical channels as
+/// non-communicating.
 using Channel = int;
+
+/// The band the simulator models: channels 1..kMaxChannel. Every channel
+/// that enters a scenario (modes, sites, deployment mixes, fault targets,
+/// occupancy traces) must satisfy in_band; the medium aborts on any other.
+inline constexpr Channel kMaxChannel = 14;
+constexpr bool in_band(Channel channel) {
+  return channel >= 1 && channel <= kMaxChannel;
+}
 
 inline constexpr Channel kOrthogonalChannels[] = {1, 6, 11};
 

@@ -108,6 +108,18 @@ TEST(DeploymentIo, RejectsNonNumericValueWithLineNumber) {
   }
 }
 
+TEST(DeploymentIo, RejectsOffBandChannelWithLineNumber) {
+  std::istringstream in("x,y,channel,backhaul_bps,connected\n"
+                        "10,0,6,1000000,1\n20,0,36,1000000,1\n");
+  try {
+    read_sites_csv(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "deployment csv line 3: channel 36 is outside 1..14");
+  }
+}
+
 TEST(DeploymentIo, MissingFileThrows) {
   EXPECT_THROW(read_sites_csv_file("/nonexistent/deployment.csv"),
                std::runtime_error);

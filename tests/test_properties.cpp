@@ -139,7 +139,7 @@ TEST_P(MediumLossProperty, DeliveryMatchesClosedForm) {
 
   EXPECT_NEAR(static_cast<double>(broadcast_got) / n, 1.0 - p, 0.03);
   const double arq_expected =
-      1.0 - std::pow(p, 1 + phy::Medium::kDefaultRetryLimit);
+      1.0 - std::pow(p, 1 + phy::kMediumDefaultRetryLimit);
   EXPECT_NEAR(static_cast<double>(unicast_got) / n, arq_expected, 0.03);
 }
 

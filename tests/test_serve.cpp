@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -116,20 +117,106 @@ TEST(Validate, RejectsBadClientCountAndSpeed) {
   EXPECT_GE(issues.size(), 2u);
 }
 
-TEST(Validate, RejectsGridCellBelowPropagationRange) {
-  trace::ScenarioConfig config;
-  config.grid_cell_m = config.propagation.range_m * 0.5;
-  const auto issues = config.validate();
-  ASSERT_FALSE(issues.empty());
-  EXPECT_EQ(issues.front().field, "grid_cell_m");
-}
-
 TEST(Validate, RejectsZeroInterfacesForSpider) {
   trace::ScenarioConfig config;
   config.spider.num_interfaces = 0;
   EXPECT_FALSE(config.validate().empty());
   config.driver = trace::DriverKind::kStock;
   EXPECT_TRUE(config.validate().empty());  // stock ignores the fleet size
+}
+
+/// True when `issues` has one for `field`.
+bool has_issue(const std::vector<trace::ConfigIssue>& issues,
+               const std::string& field) {
+  for (const trace::ConfigIssue& issue : issues) {
+    if (issue.field == field) return true;
+  }
+  return false;
+}
+
+TEST(Validate, RejectsSpiderModeThatCannotSchedule) {
+  // The Spider scheduler indexes the mode's slots; a mode with nothing to
+  // schedule used to reach it and crash the run.
+  trace::ScenarioConfig config;
+  config.spider.mode.fractions.clear();
+  EXPECT_TRUE(has_issue(config.validate(), "spider.mode.fractions"));
+
+  config.spider.mode.fractions = {{1, 0.0}, {6, 0.0}};
+  EXPECT_TRUE(has_issue(config.validate(), "spider.mode.fractions"));
+
+  config.spider.mode.fractions = {{1, 1.0}, {6, -0.5}};
+  EXPECT_TRUE(has_issue(config.validate(), "spider.mode.fractions"));
+
+  config.spider.mode.fractions = {{1, std::nan("")}};
+  EXPECT_TRUE(has_issue(config.validate(), "spider.mode.fractions"));
+
+  config.spider.mode = core::OperationMode::single(6);
+  config.spider.mode.period = msec(-5);
+  EXPECT_TRUE(has_issue(config.validate(), "spider.mode.period"));
+
+  // Only Spider runs schedule the mode.
+  config.spider.mode.fractions.clear();
+  config.driver = trace::DriverKind::kStock;
+  EXPECT_TRUE(config.validate().empty());
+}
+
+TEST(Validate, RejectsOffBandChannelsWhereverTheyEnter) {
+  const std::string band = "is outside 1..14";
+  auto message = [](const std::vector<trace::ConfigIssue>& issues,
+                    const std::string& field) {
+    for (const trace::ConfigIssue& issue : issues) {
+      if (issue.field == field) return issue.message;
+    }
+    return std::string();
+  };
+
+  trace::ScenarioConfig config;
+  config.spider.mode = core::OperationMode::equal_split({1, 15}, msec(200));
+  config.impairments.schedule.add(
+      {.kind = fault::FaultKind::kChannelInterference, .target = 200});
+  mob::ApSite site;
+  site.channel = 0;
+  config.fixed_sites = {site};
+  auto issues = config.validate();
+  EXPECT_EQ(message(issues, "spider.mode.fractions"), "channel 15 " + band);
+  EXPECT_EQ(message(issues, "impairments.schedule[0].target"),
+            "channel 200 " + band);
+  EXPECT_EQ(message(issues, "fixed_sites[0].channel"), "channel 0 " + band);
+
+  // AP faults target AP indices, not channels.
+  config = trace::ScenarioConfig{};
+  config.impairments.schedule.ap_blackout(sec(1), sec(1), 200);
+  EXPECT_TRUE(config.validate().empty());
+
+  config.deployment.channel_weights = {{6, 1.0}, {36, 1.0}};
+  EXPECT_EQ(message(config.validate(), "deployment.channel_weights"),
+            "channel 36 " + band);
+  config = trace::ScenarioConfig{};
+  config.city = mob::CityGridConfig{};
+  config.city->channel_weights = {{-1, 1.0}};
+  EXPECT_EQ(message(config.validate(), "city.channel_weights"),
+            "channel -1 " + band);
+
+  config = trace::ScenarioConfig{};
+  config.driver = trace::DriverKind::kStock;
+  config.stock.scan_channels = {1, 6, 165};
+  config.stock.lock_channel = 14;
+  issues = config.validate();
+  EXPECT_EQ(message(issues, "stock.scan_channels"), "channel 165 " + band);
+  EXPECT_FALSE(has_issue(issues, "stock.lock_channel"));
+  config.stock.scan_channels.clear();
+  config.stock.lock_channel = 15;
+  issues = config.validate();
+  EXPECT_TRUE(has_issue(issues, "stock.scan_channels"));
+  EXPECT_EQ(message(issues, "stock.lock_channel"), "channel 15 " + band);
+
+  config = trace::ScenarioConfig{};
+  config.driver = trace::DriverKind::kFatVap;
+  config.fatvap.channels = {};
+  EXPECT_TRUE(has_issue(config.validate(), "fatvap.channels"));
+  config.fatvap.channels = {1, 6, 11, 100};
+  EXPECT_EQ(message(config.validate(), "fatvap.channels"),
+            "channel 100 " + band);
 }
 
 TEST(Validate, JoinIssuesMentionsEveryField) {
@@ -263,38 +350,39 @@ TEST(Protocol, UnknownScenarioKeyIsAnError) {
 }
 
 TEST(Protocol, ExtensionFreeConfigKeepsPreExtensionWireBytes) {
-  // The declarative extensions must travel only when non-default: a
-  // mix-free, impairment-free scenario serializes to the exact wire bytes
-  // every pre-extension client and journal expects.
+  // The impairments extension must travel only when non-default: an
+  // impairment-free scenario serializes to the exact wire bytes every
+  // pre-extension client and journal expects.
   const std::string wire = scenario_to_json(quick_scenario(3));
-  EXPECT_EQ(wire.find("client_mix"), std::string::npos);
   EXPECT_EQ(wire.find("impairments"), std::string::npos);
 }
 
-TEST(Protocol, ClientMixRoundTripsThroughWireForm) {
-  trace::ScenarioConfig config = quick_scenario(21);
-  trace::ClientMixEntry laptops;
-  laptops.profile = trace::ClientProfile::preset(
-      trace::ClientProfileKind::kAggressiveScanner);
-  laptops.count = 2;
-  trace::ClientMixEntry handsets;
-  handsets.profile =
-      trace::ClientProfile::preset(trace::ClientProfileKind::kPsmPhone);
-  handsets.profile.psm_duty = 0.25;  // a customized preset
-  config.client_mix = {laptops, handsets};
-
-  const std::string wire = scenario_to_json(config);
-  const std::optional<util::Json> parsed = util::Json::parse(wire);
-  ASSERT_TRUE(parsed.has_value());
-  trace::ScenarioConfig back;
+TEST(Protocol, StaleClientMixKeyIsRejected) {
+  // Every run is a homogeneous fleet of `clients`; a client still sending
+  // the retired device-mix extension gets the structured unknown-key error
+  // instead of a silently homogeneous run.
+  const std::optional<util::Json> json = util::Json::parse(
+      R"({"seed":1,"client_mix":[{"profile":"psm-phone","count":2}]})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-  EXPECT_EQ(wire, scenario_to_json(back));
-  ASSERT_EQ(back.client_mix.size(), 2u);
-  EXPECT_EQ(back.client_mix[0].count, 2);
-  EXPECT_EQ(back.client_mix[0].profile.kind,
-            trace::ClientProfileKind::kAggressiveScanner);
-  EXPECT_DOUBLE_EQ(back.client_mix[1].profile.psm_duty, 0.25);
+  EXPECT_FALSE(parse_scenario(*json, &config, &error));
+  EXPECT_EQ(error, "unknown scenario key 'client_mix'");
+}
+
+TEST(Protocol, StaleGridCellKeyIsRejected) {
+  // The grid cell always derives from the propagation range, so the key
+  // is gone from the wire form; a client still sending it (as every
+  // scenario written before its removal did) gets the unknown-key error.
+  const std::string wire = scenario_to_json(quick_scenario(5));
+  EXPECT_EQ(wire.find("grid_cell_m"), std::string::npos);
+  const std::optional<util::Json> json =
+      util::Json::parse(R"({"seed":1,"grid_cell_m":0})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
+  std::string error;
+  EXPECT_FALSE(parse_scenario(*json, &config, &error));
+  EXPECT_EQ(error, "unknown scenario key 'grid_cell_m'");
 }
 
 TEST(Protocol, SyntheticScheduleRoundTripsFaultSpecsExactly) {
@@ -374,13 +462,6 @@ std::string scenario_parse_failure(const std::string& text) {
 }
 
 TEST(Protocol, ExtensionErrorsNameTheOffendingField) {
-  EXPECT_EQ(scenario_parse_failure(R"({"client_mix":[{"count":"two"}]})"),
-            "client_mix[0].count must be a number");
-  EXPECT_EQ(scenario_parse_failure(R"({"client_mix":[{"profile":"gamer"}]})"),
-            "client_mix[0].profile must be default|aggressive-scanner|"
-            "sticky-device|psm-phone");
-  EXPECT_EQ(scenario_parse_failure(R"({"client_mix":[{"color":1}]})"),
-            "unknown client_mix[0] key 'color'");
   EXPECT_EQ(scenario_parse_failure(R"({"impairments":{"kind":"weird"}})"),
             "impairments.kind must be synthetic|trace-file|inline-timeline");
   EXPECT_EQ(
@@ -404,6 +485,46 @@ TEST(Protocol, ExtensionErrorsNameTheOffendingField) {
       "impairments.samples[0] must be [t_s, channel, occupancy] numbers");
   EXPECT_EQ(scenario_parse_failure(R"({"impairments":{"kind":"synthetic","x":1}})"),
             "unknown impairments key 'x'");
+}
+
+TEST(Protocol, MistypedOrOutOfRangeValuesAreErrors) {
+  // A mistyped value used to run the default silently ("seed":"7" ran
+  // seed 1), and an integer outside its field's type was cast with
+  // undefined behaviour.
+  EXPECT_EQ(scenario_parse_failure(R"({"seed":"7"})"), "seed must be a number");
+  EXPECT_EQ(scenario_parse_failure(R"({"adaptive":"yes"})"),
+            "adaptive must be true or false");
+  EXPECT_EQ(scenario_parse_failure(R"({"speed_mps":"fast"})"),
+            "speed_mps must be a number");
+  EXPECT_EQ(scenario_parse_failure(R"({"city":{"width_m":"wide"}})"),
+            "city.width_m must be a number");
+  EXPECT_EQ(scenario_parse_failure(
+                R"({"mode":{"period_ms":200,"fractions":[["one",1]]}})"),
+            "mode.fractions[0][0] must be a number");
+  EXPECT_EQ(scenario_parse_failure(R"({"seed":-1})"),
+            "seed must be an integer in [0, 9007199254740992]");
+  EXPECT_EQ(scenario_parse_failure(R"({"clients":1e30})"),
+            "clients must be an integer in [-2147483648, 2147483647]");
+  EXPECT_EQ(scenario_parse_failure(R"({"clients":2.5})"),
+            "clients must be an integer in [-2147483648, 2147483647]");
+  EXPECT_EQ(scenario_parse_failure(R"({"num_interfaces":-1})"),
+            "num_interfaces must be an integer in [0, 9007199254740992]");
+  EXPECT_EQ(
+      scenario_parse_failure(
+          R"({"impairments":{"kind":"synthetic","schedule":[{"target":1e30}]}})"),
+      "impairments.schedule[0].target must be an integer in "
+      "[-2147483648, 2147483647]");
+
+  // Well-typed values still land where they should.
+  const std::optional<util::Json> json =
+      util::Json::parse(R"({"seed":7,"adaptive":true,"clients":3})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
+  std::string error;
+  ASSERT_TRUE(parse_scenario(*json, &config, &error)) << error;
+  EXPECT_EQ(config.seed, 7u);
+  EXPECT_TRUE(config.adaptive);
+  EXPECT_EQ(config.clients, 3);
 }
 
 TEST(Protocol, OnlineStatsMomentsReconstructExactly) {
@@ -464,6 +585,23 @@ TEST(Server, InvalidConfigSurfacesOverTheWire) {
   const util::Json response = rpc(
       client, R"({"op":"run","id":"bad","scenario":{"seed":1,"clients":0}})");
   EXPECT_EQ(error_kind(response), "invalid-config");
+}
+
+TEST(Server, EmptySpiderModeIsRejectedAndServerSurvives) {
+  // One line with an empty mode used to crash the whole server process:
+  // the Spider scheduler indexed an empty fraction list.
+  TestServer ts(basic_config());
+  LineClient client = ts.connect();
+  const util::Json response = rpc(
+      client,
+      R"({"op":"run","id":"empty","scenario":{"duration_s":30,"road_length_m":1000,"aps_per_km":10,"mode":{"period_ms":200,"fractions":[]}}})");
+  EXPECT_EQ(error_kind(response), "invalid-config");
+  EXPECT_EQ(error_kind(rpc(
+                client,
+                R"({"op":"run","id":"neg","scenario":{"mode":{"period_ms":-5,"fractions":[[1,1]]}}})")),
+            "invalid-config");
+  EXPECT_TRUE(rpc(client, R"({"op":"ping","id":"alive"})").find("pong") !=
+              nullptr);
 }
 
 TEST(Server, RunMatchesInProcessRunnerByteForByte) {

@@ -229,7 +229,7 @@ TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
 /// of 250 m blocks (mob::generate_city_deployment) and vehicles touring
 /// rectangular block loops on it, each declaring its exact speed — plus
 /// two vehicles pinned to grid edges, one driving back and forth along
-/// x = 3 * grid_cell_m() and one along the town road y = 0, so the bucket
+/// x = 3 * grid_cell_edge_m() and one along the town road y = 0, so the bucket
 /// hysteresis is exercised on exactly the routes it exists for. Every
 /// stochastic choice is drawn from `seed` before the clock runs, so both
 /// index modes simulate the same world.
@@ -241,7 +241,7 @@ WorldResult run_street_world(NeighborIndex mode, std::uint64_t seed) {
   pc.base_loss = 0.1;
   sim::Simulator sim;
   Medium medium(sim, Propagation(pc), Rng(seed * 17 + 3), indexed(mode));
-  const double cell = medium.grid_cell_m();
+  const double cell = medium.grid_cell_edge_m();
 
   mob::CityGridConfig city;
   city.width_m = 1000.0;
@@ -387,6 +387,29 @@ TEST(SpatialIndexDeathTest, MobileRefreshWithCorruptCellAbortsCleanly) {
         mobile.send(broadcast_frame());
       },
       "grid invariant violated");
+}
+
+// The medium's per-channel tables cover the band only; an off-band channel
+// reaching a cold entry point is a caller bug and aborts with the channel
+// named (validate() rejects every scenario input that could carry one).
+TEST(SpatialIndexDeathTest, OffBandChannelAbortsAtColdEntryPoints) {
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
+        Radio radio(medium, wire::MacAddress(1),
+                    [] { return Position{0.0, 0.0}; });
+        radio.tune(15);
+        sim.run_until(msec(10));  // the retune lands after the switch delay
+      },
+      "retune: channel 15 is outside 1..14");
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
+        medium.set_channel_impairment(200, 0.5);
+      },
+      "set_channel_impairment: channel 200 is outside 1..14");
 }
 
 // --- counter guard: empty candidate set ------------------------------
@@ -553,7 +576,7 @@ TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
     // The receiver attaches 5 m inside cell 0 and leaves its stay box —
     // the cell grown by the slack — at x = exit_x, where the sweep
     // rebuckets it.
-    const double cell = medium.grid_cell_m();
+    const double cell = medium.grid_cell_edge_m();
     const double exit_x = cell + medium.grid_slack_m();
     constexpr double kSpeed = 50.0;
     const Time crossing = sec((exit_x - (cell - 5.0)) / kSpeed);
@@ -628,7 +651,7 @@ TEST(SpatialIndexProperty, EdgeAlignedRoutesAreSampledPerSlackNotPerFrame) {
   sim::Simulator sim;
   Medium medium(sim, Propagation(lossless_config(100.0)), Rng(13),
                 indexed(NeighborIndex::kGrid));
-  const double cell = medium.grid_cell_m();
+  const double cell = medium.grid_cell_edge_m();
   const double slack = medium.grid_slack_m();
   constexpr double kSpeed = 10.0;
   constexpr double kDurationS = 20.0;
@@ -737,34 +760,16 @@ TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
 // --- configuration ---------------------------------------------------
 
 TEST(SpatialIndexConfig, CellSizeClampsUpToPropagationRange) {
-  // The floor is range + slack with slack = range / 8: 112.5 m at 100 m.
+  // The cell is range + slack with slack = range / 8: 112.5 m at 100 m.
   sim::Simulator sim;
-  MediumConfig mc;
-  mc.grid_cell_m = 10.0;  // below range: unsound, must clamp up
-  Medium clamped(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 112.5);
-  EXPECT_DOUBLE_EQ(clamped.grid_slack_m(), 12.5);
-
-  mc.grid_cell_m = 100.0;  // exactly range: no slack left, must clamp up
-  Medium at_range(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(at_range.grid_cell_m(), 112.5);
-
-  mc.grid_cell_m = 112.5;  // exactly the floor: honored
-  Medium at_floor(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(at_floor.grid_cell_m(), 112.5);
-
-  mc.grid_cell_m = 250.0;  // above the floor: honored (coarser is sound)
-  Medium coarse(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(coarse.grid_cell_m(), 250.0);
-  EXPECT_DOUBLE_EQ(coarse.grid_slack_m(), 150.0);
-
   Medium derived(sim, Propagation(lossless_config(100.0)), Rng(1));
-  EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 112.5);
+  EXPECT_DOUBLE_EQ(derived.grid_cell_edge_m(), 112.5);
+  EXPECT_DOUBLE_EQ(derived.grid_slack_m(), 12.5);
   EXPECT_EQ(derived.config().neighbor_index, NeighborIndex::kGrid);
 
   // Degenerate zero range keeps a positive cell and slack.
   Medium zero(sim, Propagation(lossless_config(0.0)), Rng(1));
-  EXPECT_GT(zero.grid_cell_m(), 0.0);
+  EXPECT_GT(zero.grid_cell_edge_m(), 0.0);
   EXPECT_GT(zero.grid_slack_m(), 0.0);
 }
 

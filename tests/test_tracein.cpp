@@ -1,15 +1,13 @@
 // Tests for the trace-ingest layer (src/tracein) and the unified
-// impairment / client-profile API built on it (src/trace). Three claims
-// are pinned here:
+// impairment API built on it (src/trace). Three claims are pinned here:
 //
 //   1. Ingest is strict and debuggable: every malformed row fails with its
 //      1-based line number and a field-level message.
 //   2. Ingest -> serialize -> ingest is an exact round trip, and the
 //      compiled fault schedule is a pure function of (timeline, options) —
 //      the replay determinism contract.
-//   3. Trace-driven, mixed-population runs are byte-identical across
-//      worker counts (the 200-seed fuzz at the bottom), and a default
-//      client profile is the exact identity on every driver config.
+//   3. Trace-driven runs, single- and two-client, are byte-identical
+//      across worker counts (the 200-seed fuzz at the bottom).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/client_profile.hpp"
 #include "trace/experiment.hpp"
 #include "trace/impairment.hpp"
 #include "trace/runner.hpp"
@@ -377,139 +374,7 @@ TEST(FaultKindNames, RoundTripThroughWireNames) {
 }
 
 // ---------------------------------------------------------------------------
-// ClientProfile: the default is the exact identity; presets move real knobs
-
-TEST(ClientProfile, DefaultApplyIsExactIdentity) {
-  const trace::ClientProfile identity;
-  EXPECT_TRUE(identity.is_default());
-
-  core::SpiderConfig spider_before;
-  core::SpiderConfig spider_after = spider_before;
-  identity.apply(spider_after);
-  EXPECT_EQ(spider_after.scanner.probe_interval,
-            spider_before.scanner.probe_interval);
-  EXPECT_EQ(spider_after.scanner.expiry, spider_before.scanner.expiry);
-  EXPECT_EQ(spider_after.selector.tie_margin, spider_before.selector.tie_margin);
-  EXPECT_EQ(spider_after.evaluate_interval, spider_before.evaluate_interval);
-  EXPECT_EQ(spider_after.psm_retrieval, spider_before.psm_retrieval);
-  EXPECT_EQ(spider_after.mode.period, spider_before.mode.period);
-
-  base::StockConfig stock_before;
-  base::StockConfig stock_after = stock_before;
-  identity.apply(stock_after);
-  EXPECT_EQ(stock_after.rescan_backoff, stock_before.rescan_backoff);
-  EXPECT_EQ(stock_after.stack.ping.fail_threshold,
-            stock_before.stack.ping.fail_threshold);
-}
-
-TEST(ClientProfile, PresetNamesRoundTrip) {
-  using trace::ClientProfileKind;
-  for (ClientProfileKind kind :
-       {ClientProfileKind::kDefault, ClientProfileKind::kAggressiveScanner,
-        ClientProfileKind::kStickyDevice, ClientProfileKind::kPsmPhone}) {
-    ClientProfileKind back;
-    ASSERT_TRUE(
-        trace::client_profile_kind_from_string(trace::to_string(kind), &back));
-    EXPECT_EQ(back, kind);
-  }
-  trace::ClientProfileKind kind;
-  EXPECT_FALSE(trace::client_profile_kind_from_string("gamer", &kind));
-  EXPECT_TRUE(
-      trace::ClientProfile::preset(trace::ClientProfileKind::kDefault)
-          .is_default());
-}
-
-TEST(ClientProfile, AggressiveScannerProbesFaster) {
-  const auto p =
-      trace::ClientProfile::preset(trace::ClientProfileKind::kAggressiveScanner);
-  EXPECT_DOUBLE_EQ(p.scan_aggressiveness, 4.0);
-
-  core::SpiderConfig spider;
-  const Time before = spider.scanner.probe_interval;
-  p.apply(spider);
-  EXPECT_EQ(spider.scanner.probe_interval, Time{before.count() / 4});
-
-  base::StockConfig stock;
-  const Time backoff = stock.rescan_backoff;
-  p.apply(stock);
-  EXPECT_EQ(stock.rescan_backoff, Time{backoff.count() / 4});
-}
-
-TEST(ClientProfile, StickyDeviceClingsToItsAp) {
-  const auto p =
-      trace::ClientProfile::preset(trace::ClientProfileKind::kStickyDevice);
-  core::SpiderConfig spider;
-  const Time evaluate = spider.evaluate_interval;
-  const double margin = spider.selector.tie_margin;
-  p.apply(spider);
-  EXPECT_EQ(spider.evaluate_interval, Time{evaluate.count() * 4});
-  EXPECT_LE(spider.selector.tie_margin, 1.0);  // widened but clamped
-  EXPECT_GE(spider.selector.tie_margin, margin);
-
-  base::StockConfig stock;
-  const int threshold = stock.stack.ping.fail_threshold;
-  p.apply(stock);
-  EXPECT_EQ(stock.stack.ping.fail_threshold, threshold * 4);
-}
-
-TEST(ClientProfile, PsmPhoneDutyCyclesTheSchedule) {
-  const auto p =
-      trace::ClientProfile::preset(trace::ClientProfileKind::kPsmPhone);
-  core::SpiderConfig spider;
-  const Time period = spider.mode.period;
-  p.apply(spider);
-  EXPECT_EQ(spider.psm_retrieval, core::PsmRetrieval::kPsPoll);
-  EXPECT_EQ(spider.mode.period, Time{period.count() + period.count() / 2});
-}
-
-TEST(ClientMix, ExpandsMixOrderMajorWithFallback) {
-  trace::ClientMix mix;
-  mix.push_back({trace::ClientProfile::preset(
-                     trace::ClientProfileKind::kAggressiveScanner),
-                 2});
-  mix.push_back(
-      {trace::ClientProfile::preset(trace::ClientProfileKind::kPsmPhone), 1});
-  const auto profiles = trace::expand_client_mix(mix, /*fallback_clients=*/7);
-  ASSERT_EQ(profiles.size(), 3u);
-  EXPECT_EQ(profiles[0].kind, trace::ClientProfileKind::kAggressiveScanner);
-  EXPECT_EQ(profiles[1].kind, trace::ClientProfileKind::kAggressiveScanner);
-  EXPECT_EQ(profiles[2].kind, trace::ClientProfileKind::kPsmPhone);
-
-  const auto fallback = trace::expand_client_mix({}, 3);
-  ASSERT_EQ(fallback.size(), 3u);
-  EXPECT_TRUE(fallback[0].is_default());
-
-  trace::ScenarioConfig config;
-  config.clients = 5;
-  EXPECT_EQ(config.resolved_clients(), 5);
-  config.client_mix = mix;
-  EXPECT_EQ(config.resolved_clients(), 3);
-}
-
-// ---------------------------------------------------------------------------
 // validate(): every new knob fails against its own field name
-
-TEST(Validate, ClientMixIssuesNameTheSlice) {
-  trace::ScenarioConfig config;
-  config.client_mix.push_back({{}, 0});
-  trace::ClientMixEntry bad;
-  bad.count = 1;
-  bad.profile.scan_aggressiveness = 0.0;
-  bad.profile.psm_duty = 1.5;
-  config.client_mix.push_back(bad);
-
-  const auto issues = config.validate();
-  auto has = [&](const std::string& field) {
-    for (const auto& issue : issues) {
-      if (issue.field == field) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("client_mix[0].count"));
-  EXPECT_TRUE(has("client_mix[1].scan_aggressiveness"));
-  EXPECT_TRUE(has("client_mix[1].psm_duty"));
-  EXPECT_FALSE(has("clients"));  // the mix replaces the clients check
-}
 
 TEST(Validate, TraceImpairmentFailuresNameTheSourceField) {
   trace::ScenarioConfig config;
@@ -622,15 +487,7 @@ std::vector<trace::ScenarioConfig> fuzz_configs(const std::string& trace_path) {
                  : (i % 3 == 1) ? trace::DriverKind::kFatVap
                                 : trace::DriverKind::kSpider;
     cfg.impairments = trace::ImpairmentSource::trace_file(trace_path);
-    if (i % 2 == 1) {
-      cfg.client_mix.push_back(
-          {trace::ClientProfile::preset(
-               trace::ClientProfileKind::kAggressiveScanner),
-           1});
-      cfg.client_mix.push_back(
-          {trace::ClientProfile::preset(trace::ClientProfileKind::kStickyDevice),
-           1});
-    }
+    if (i % 2 == 1) cfg.clients = 2;
     configs.push_back(cfg);
   }
   return configs;
