@@ -4,63 +4,34 @@
 // most of the capacity — exactly where reweighting should pay.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.hpp"
-#include "util/thread_pool.hpp"
 #include "core/dynamic_schedule.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
 namespace {
 
-struct Outcome {
-  double kBps = 0.0;
-  double connectivity = 0.0;
-  std::uint64_t rebalances = 0;
-};
-
-Outcome run(bool dynamic, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 10;
-  // Skew: channel 1 hosts most APs; 6 and 11 are sparse.
-  dep.channel_weights = {{1, 0.70}, {6, 0.15}, {11, 0.15}};
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Keeps the bulk download and, when `dynamic`, reweights the schedule.
+class DynamicScheduleApp : public trace::ScenarioApp {
+ public:
+  DynamicScheduleApp(bool dynamic, std::uint64_t& rebalances)
+      : dynamic_(dynamic), rebalances_(rebalances) {}
+  bool attach(trace::ClientRig& rig) override {
+    controller_.emplace(*rig.spider);
+    return true;
   }
-  mob::BackAndForthRoad route(dep.road_length_m, 10.0);
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.mode = core::OperationMode::equal_split({1, 6, 11}, msec(600));
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [&] { return route.position_at(bed.sim.now()); },
-                            cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::ThroughputRecorder rec;
-  trace::DownloadHarness harness(bed.sim, bed.server_ip(), rec);
-  harness.attach(manager);
-  core::DynamicScheduleController dyn(driver);
-  driver.start();
-  manager.start();
-  if (dynamic) dyn.start();
+  void started(trace::ClientRig&) override {
+    if (dynamic_) controller_->start();
+  }
+  void finish() override { rebalances_ = controller_->rebalances(); }
 
-  const Time duration = sec(900);
-  bed.sim.run_until(duration);
-  rec.finalize(duration);
-  return Outcome{rec.average_throughput_kBps(), rec.connectivity_fraction(),
-                 dyn.rebalances()};
-}
+ private:
+  bool dynamic_;
+  std::uint64_t& rebalances_;
+  std::optional<core::DynamicScheduleController> controller_;
+};
 
 }  // namespace
 
@@ -69,43 +40,45 @@ int main(int argc, char** argv) {
   bench::banner("Ablation — static vs goodput-weighted multi-channel schedule",
                 "skewed town (70% of APs on ch1), 15-minute drives x3 seeds");
 
-  // Flatten (schedule x seed) into one indexed parallel map; pooling below
-  // walks the results in submission order so the table is byte-identical
-  // for any --jobs.
-  struct Cell {
-    bool dynamic;
-    std::uint64_t seed;
-  };
-  std::vector<Cell> cells;
+  std::vector<trace::ScenarioConfig> configs;
+  std::vector<bool> dynamic_run;
   for (bool dynamic : {false, true}) {
     for (std::uint64_t seed = 990; seed < 993; ++seed) {
-      cells.push_back({dynamic, seed});
+      auto cfg = bench::town_drive_15min(
+          seed, core::OperationMode::equal_split({1, 6, 11}, msec(600)));
+      // Skew: channel 1 hosts most APs; 6 and 11 are sparse.
+      cfg.deployment.channel_weights = {{1, 0.70}, {6, 0.15}, {11, 0.15}};
+      configs.push_back(cfg);
+      dynamic_run.push_back(dynamic);
     }
   }
-  const auto outcomes = util::parallel_map(
-      cli.sweep.jobs, cells.size(),
-      [&cells](std::size_t i) { return run(cells[i].dynamic, cells[i].seed); });
+  std::vector<std::uint64_t> rebalances(configs.size());
+  const auto results = cli.run(
+      configs, [&dynamic_run, &rebalances](std::size_t run, trace::Testbed&) {
+        return std::make_unique<DynamicScheduleApp>(dynamic_run[run],
+                                                    rebalances[run]);
+      });
 
   TextTable table({"schedule", "throughput (KB/s)", "connectivity",
                    "rebalances"});
   std::size_t next = 0;
   for (bool dynamic : {false, true}) {
-    Outcome sum;
-    for (int r = 0; r < 3; ++r) {
-      const auto& o = outcomes[next++];
-      sum.kBps += o.kBps / 3;
-      sum.connectivity += o.connectivity / 3;
-      sum.rebalances += o.rebalances;
+    double kBps = 0.0, connectivity = 0.0;
+    std::uint64_t rebalanced = 0;
+    for (int r = 0; r < 3; ++r, ++next) {
+      kBps += results[next].avg_throughput_kBps / 3;
+      connectivity += results[next].connectivity / 3;
+      rebalanced += rebalances[next];
     }
     table.add_row({dynamic ? "dynamic (goodput-weighted)" : "static equal",
-                   TextTable::num(sum.kBps, 1),
-                   TextTable::percent(sum.connectivity),
-                   std::to_string(sum.rebalances)});
+                   TextTable::num(kBps, 1), TextTable::percent(connectivity),
+                   std::to_string(rebalanced)});
   }
   table.print(std::cout);
   std::printf(
       "\nExpected: reweighting shifts dwell toward the channel that carries\n"
       "the traffic, recovering part of the single-channel advantage while\n"
       "keeping a floor on the sparse channels for discovery.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -15,7 +15,6 @@
 #include "sim/event_queue.hpp"
 #include "trace/experiment.hpp"
 #include "trace/runner.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 

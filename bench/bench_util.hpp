@@ -122,12 +122,14 @@ struct SweepCli {
   /// Validated sweep with graceful-interrupt semantics: on SIGINT/SIGTERM
   /// the sweep drains, partial sinks are flushed, a completed/total count
   /// goes to stderr, and the bench exits 130 — stdout never carries a
-  /// partial table that could be mistaken for a full run.
+  /// partial table that could be mistaken for a full run. `app` rides
+  /// along as in ScenarioRunner::run_many.
   std::vector<trace::ScenarioResult> run(
-      const std::vector<trace::ScenarioConfig>& configs) const {
+      const std::vector<trace::ScenarioConfig>& configs,
+      const trace::AppFactory& app = {}) const {
     check(configs);
     std::vector<trace::ScenarioResult> results =
-        trace::ScenarioRunner(sweep).run_many(configs);
+        trace::ScenarioRunner(sweep).run_many(configs, app);
     exit_if_interrupted(results);
     return results;
   }
@@ -298,6 +300,17 @@ inline core::SpiderConfig tuned_spider() {
   c.mlme = {.ll_timeout = msec(100), .max_retries = 5};
   c.dhcp = {.retx_timeout = msec(600), .max_sends = 4};
   return c;
+}
+
+/// The extension benches' drive: 15 minutes of the §4.1 town on the tuned
+/// stack, scheduling `mode`.
+inline trace::ScenarioConfig town_drive_15min(std::uint64_t seed,
+                                              const core::OperationMode& mode) {
+  trace::ScenarioConfig cfg = town_scenario(seed);
+  cfg.duration = sec(900);
+  cfg.spider = tuned_spider();
+  cfg.spider.mode = mode;
+  return cfg;
 }
 
 /// Prints a CDF as fraction-at-or-below over a fixed grid, one row per x.

@@ -7,62 +7,40 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
 #include "phy/energy.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
 namespace {
 
-struct Outcome {
+struct RadioEnergy {
   double joules = 0.0;
-  double mb = 0.0;
   double switch_s = 0.0;
 };
 
-Outcome run_mode(const core::OperationMode& mode, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 10;
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Keeps the bulk download and reads the radio's energy when the drive ends.
+class EnergyReadout : public trace::ScenarioApp {
+ public:
+  EnergyReadout(sim::Simulator& sim, RadioEnergy& out) : sim_(sim), out_(out) {}
+  bool attach(trace::ClientRig& rig) override {
+    driver_ = rig.spider.get();
+    return true;
   }
-  mob::BackAndForthRoad route(dep.road_length_m, 10.0);
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.mode = mode;
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [&] { return route.position_at(bed.sim.now()); },
-                            cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::ThroughputRecorder rec;
-  trace::DownloadHarness harness(bed.sim, bed.server_ip(), rec);
-  harness.attach(manager);
-  driver.start();
-  manager.start();
-  bed.sim.run_until(sec(900));
+  void finish() override {
+    out_.joules = phy::EnergyModel{}.joules(driver_->radio(), sim_.now());
+    out_.switch_s = to_seconds(driver_->radio().switch_airtime());
+  }
 
-  phy::EnergyModel model;
-  Outcome out;
-  out.joules = model.joules(driver.radio(), bed.sim.now());
-  out.mb = static_cast<double>(rec.total_bytes()) / 1e6;
-  out.switch_s = to_seconds(driver.radio().switch_airtime());
-  return out;
-}
+ private:
+  sim::Simulator& sim_;
+  RadioEnergy& out_;
+  core::SpiderDriver* driver_ = nullptr;
+};
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Extension — energy per megabyte by schedule",
                 "Atheros-era power model; 15-minute town drives x3 seeds");
 
@@ -79,22 +57,34 @@ int main() {
        core::OperationMode::equal_split({1, 6, 11}, msec(150))},
   };
 
+  std::vector<trace::ScenarioConfig> configs;
+  for (const auto& v : variants) {
+    for (std::uint64_t seed = 970; seed < 973; ++seed) {
+      configs.push_back(bench::town_drive_15min(seed, v.mode));
+    }
+  }
+  std::vector<RadioEnergy> energy(configs.size());
+  const auto results =
+      cli.run(configs, [&energy](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<EnergyReadout>(bed.sim, energy[run]);
+      });
+
   TextTable table({"schedule", "energy (J)", "data (MB)", "J per MB",
                    "reset time (s)"});
+  std::size_t next = 0;
   for (const auto& v : variants) {
-    Outcome total;
-    for (std::uint64_t seed = 970; seed < 973; ++seed) {
-      const auto o = run_mode(v.mode, seed);
-      total.joules += o.joules;
-      total.mb += o.mb;
-      total.switch_s += o.switch_s;
+    double joules = 0.0, mb = 0.0, switch_s = 0.0;
+    for (int r = 0; r < 3; ++r, ++next) {
+      joules += energy[next].joules;
+      mb += static_cast<double>(results[next].total_bytes) / 1e6;
+      switch_s += energy[next].switch_s;
     }
     table.add_row({
         v.name,
-        TextTable::num(total.joules / 3.0, 0),
-        TextTable::num(total.mb / 3.0, 1),
-        TextTable::num(total.mb > 0 ? total.joules / total.mb : 0.0, 1),
-        TextTable::num(total.switch_s / 3.0, 1),
+        TextTable::num(joules / 3.0, 0),
+        TextTable::num(mb / 3.0, 1),
+        TextTable::num(mb > 0 ? joules / mb : 0.0, 1),
+        TextTable::num(switch_s / 3.0, 1),
     });
   }
   table.print(std::cout);
@@ -103,5 +93,6 @@ int main() {
       "baseline draw is fixed; efficiency is therefore goodput-dominated,\n"
       "and the single-channel schedule wins J/MB by a wide margin. Frantic\n"
       "schedules additionally burn reset time for nothing.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -4,15 +4,10 @@
 // tables, and — dominantly — the residential backhauls are shared).
 
 #include <cstdio>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "util/thread_pool.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
@@ -24,69 +19,36 @@ struct FleetResult {
   double mean_connectivity = 0.0;
 };
 
-FleetResult run_fleet(int vehicles, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 10;
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Gives every car its own download and recorder in place of the shared
+/// one, so throughput and connectivity come out per vehicle.
+class PerCarDownloads : public trace::ScenarioApp {
+ public:
+  PerCarDownloads(trace::Testbed& bed, FleetResult& out)
+      : bed_(bed), out_(out) {}
+  bool attach(trace::ClientRig& rig) override {
+    trace::ThroughputRecorder& recorder = recorders_.emplace_back();
+    harnesses_.emplace_back(bed_.sim, bed_.server_ip(), recorder)
+        .attach(*rig.manager);
+    return false;
+  }
+  void finish() override {
+    for (trace::ThroughputRecorder& recorder : recorders_) {
+      recorder.finalize(bed_.sim.now());
+      out_.per_vehicle_kBps += recorder.average_throughput_kBps();
+      out_.mean_connectivity += recorder.connectivity_fraction();
+    }
+    const auto vehicles = static_cast<int>(recorders_.size());
+    out_.aggregate_kBps = out_.per_vehicle_kBps;
+    out_.per_vehicle_kBps /= vehicles;
+    out_.mean_connectivity /= vehicles;
   }
 
-  struct Vehicle {
-    std::unique_ptr<mob::BackAndForthRoad> route;
-    std::unique_ptr<core::SpiderDriver> driver;
-    std::unique_ptr<core::LinkManager> manager;
-    std::unique_ptr<trace::ThroughputRecorder> recorder;
-    std::unique_ptr<trace::DownloadHarness> harness;
-  };
-  std::vector<Vehicle> fleet;
-  for (int v = 0; v < vehicles; ++v) {
-    Vehicle car;
-    // Stagger the cars along the road (phase offset via lane position).
-    const double offset = dep.road_length_m * v / std::max(1, vehicles);
-    car.route = std::make_unique<mob::BackAndForthRoad>(dep.road_length_m, 10.0);
-    auto* route = car.route.get();
-    auto position = [route, offset, &sim = bed.sim] {
-      Position p = route->position_at(sim.now() + sec(offset / 10.0));
-      return p;
-    };
-    core::SpiderConfig cfg = bench::tuned_spider();
-    cfg.mode = core::OperationMode::single(1);
-    car.driver = std::make_unique<core::SpiderDriver>(
-        bed.sim, bed.medium, bed.next_client_mac_block(), position, cfg);
-    car.manager =
-        std::make_unique<core::LinkManager>(*car.driver, bed.server_ip());
-    car.recorder = std::make_unique<trace::ThroughputRecorder>();
-    car.harness = std::make_unique<trace::DownloadHarness>(
-        bed.sim, bed.server_ip(), *car.recorder);
-    car.harness->attach(*car.manager);
-    car.driver->start();
-    car.manager->start();
-    fleet.push_back(std::move(car));
-  }
-
-  const Time duration = sec(900);
-  bed.sim.run_until(duration);
-
-  FleetResult result;
-  for (auto& car : fleet) {
-    car.recorder->finalize(duration);
-    result.per_vehicle_kBps += car.recorder->average_throughput_kBps();
-    result.mean_connectivity += car.recorder->connectivity_fraction();
-  }
-  result.aggregate_kBps = result.per_vehicle_kBps;
-  result.per_vehicle_kBps /= vehicles;
-  result.mean_connectivity /= vehicles;
-  return result;
-}
+ private:
+  trace::Testbed& bed_;
+  FleetResult& out_;
+  std::deque<trace::ThroughputRecorder> recorders_;  // stable addresses
+  std::deque<trace::DownloadHarness> harnesses_;
+};
 
 }  // namespace
 
@@ -95,24 +57,21 @@ int main(int argc, char** argv) {
   bench::banner("Extension — fleet scaling",
                 "N Spider vehicles sharing one town's APs, 15-minute drives");
 
-  // Flatten (fleet size x seed) into one indexed parallel map; pooling
-  // below walks the results in submission order so the table is
-  // byte-identical for any --jobs.
+  // The runner staggers the cars evenly along the road.
   const int sizes[] = {1, 2, 3, 5};
   const int seeds = 2;
-  struct Cell {
-    int vehicles;
-    std::uint64_t seed;
-  };
-  std::vector<Cell> cells;
+  std::vector<trace::ScenarioConfig> configs;
   for (int n : sizes) {
     for (std::uint64_t seed = 980; seed < 980 + seeds; ++seed) {
-      cells.push_back({n, seed});
+      auto cfg = bench::town_drive_15min(seed, core::OperationMode::single(1));
+      cfg.clients = n;
+      configs.push_back(cfg);
     }
   }
-  const auto runs = util::parallel_map(
-      cli.sweep.jobs, cells.size(), [&cells](std::size_t i) {
-        return run_fleet(cells[i].vehicles, cells[i].seed);
+  std::vector<FleetResult> fleets(configs.size());
+  const auto results =
+      cli.run(configs, [&fleets](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<PerCarDownloads>(bed, fleets[run]);
       });
 
   TextTable table({"vehicles", "per-vehicle (KB/s)", "aggregate (KB/s)",
@@ -121,7 +80,7 @@ int main(int argc, char** argv) {
   for (int n : sizes) {
     FleetResult sum;
     for (int r = 0; r < seeds; ++r) {
-      const auto& one = runs[next++];
+      const auto& one = fleets[next++];
       sum.per_vehicle_kBps += one.per_vehicle_kBps / seeds;
       sum.aggregate_kBps += one.aggregate_kBps / seeds;
       sum.mean_connectivity += one.mean_connectivity / seeds;
@@ -135,5 +94,6 @@ int main(int argc, char** argv) {
       "\nPer-vehicle throughput declines as the fleet shares backhauls and\n"
       "DHCP pools, while aggregate town goodput keeps growing sub-linearly\n"
       "— the contention regime a citywide deployment would live in.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -9,79 +9,73 @@
 
 #include "bench/bench_util.hpp"
 #include "trace/handoff.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
 namespace {
 
-trace::HandoffTracker::Summary run(const char* kind, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 12;
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Tracks the client's links in place of the bulk download.
+class HandoffApp : public trace::ScenarioApp {
+ public:
+  HandoffApp(sim::Simulator& sim, trace::HandoffTracker::Summary& out)
+      : tracker_(sim), out_(out) {}
+  bool attach(trace::ClientRig& rig) override {
+    if (rig.stock) {
+      tracker_.attach(*rig.stock);
+    } else {
+      tracker_.attach(*rig.manager);
+    }
+    return false;
   }
-  mob::BackAndForthRoad route(dep.road_length_m, 10.0);
-  auto position = [&] { return route.position_at(bed.sim.now()); };
+  void finish() override { out_ = tracker_.summarize(); }
 
-  trace::HandoffTracker tracker(bed.sim);
-  const std::string k = kind;
-  if (k == "stock") {
-    base::StockWifiDriver stock(bed.sim, bed.medium,
-                                bed.next_client_mac_block(), position,
-                                base::StockConfig{}, bed.server_ip());
-    tracker.attach(stock);
-    stock.start();
-    bed.sim.run_until(sec(900));
-    return tracker.summarize();
-  }
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.mode = core::OperationMode::single(1);
-  if (k == "spider-1") cfg.num_interfaces = 1;
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            position, cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  tracker.attach(manager);
-  driver.start();
-  manager.start();
-  bed.sim.run_until(sec(900));
-  return tracker.summarize();
-}
+ private:
+  trace::HandoffTracker tracker_;
+  trace::HandoffTracker::Summary& out_;
+};
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Extension — soft hand-off analysis",
                 "make-before-break fraction and hard-handoff outage, x3 seeds");
 
   struct Variant {
     const char* name;
-    const char* kind;
+    trace::DriverKind driver;
+    std::size_t interfaces;  ///< Spider's; the stock driver has one
   };
   const Variant variants[] = {
-      {"Spider, 7 interfaces (ch1)", "spider-7"},
-      {"Spider, 1 interface (ch1)", "spider-1"},
-      {"Stock driver (all channels)", "stock"},
+      {"Spider, 7 interfaces (ch1)", trace::DriverKind::kSpider, 7},
+      {"Spider, 1 interface (ch1)", trace::DriverKind::kSpider, 1},
+      {"Stock driver (all channels)", trace::DriverKind::kStock, 1},
   };
+
+  std::vector<trace::ScenarioConfig> configs;
+  for (const auto& v : variants) {
+    for (std::uint64_t seed = 985; seed < 988; ++seed) {
+      auto cfg = bench::town_drive_15min(seed, core::OperationMode::single(1));
+      cfg.deployment.aps_per_km = 12;
+      cfg.driver = v.driver;
+      cfg.spider.num_interfaces = v.interfaces;
+      configs.push_back(cfg);
+    }
+  }
+  std::vector<trace::HandoffTracker::Summary> summaries(configs.size());
+  const auto results =
+      cli.run(configs, [&summaries](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<HandoffApp>(bed.sim, summaries[run]);
+      });
 
   TextTable table({"driver", "hand-offs", "soft (seamless)", "soft fraction",
                    "hard gap median (s)", "hard gap p90 (s)"});
+  std::size_t next = 0;
   for (const auto& v : variants) {
     std::size_t handoffs = 0, soft = 0;
     Cdf gaps;
-    for (std::uint64_t seed = 985; seed < 988; ++seed) {
-      auto s = run(v.kind, seed);
+    for (int r = 0; r < 3; ++r) {
+      const auto& s = summaries[next++];
       handoffs += s.handoffs;
       soft += s.soft;
       for (double g : s.gap_seconds.samples()) gaps.add(g);
@@ -100,5 +94,6 @@ int main() {
       "\nExpected: only the multi-interface configuration achieves seamless\n"
       "(make-before-break) hand-offs; single-interface stacks always pay an\n"
       "outage to re-scan and re-join.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -6,8 +6,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
 #include "trace/voip.hpp"
 #include "transport/cbr.hpp"
 
@@ -15,49 +13,34 @@ using namespace spider;
 
 namespace {
 
-trace::VoipHarness::Summary run_mode(const core::OperationMode& mode,
-                                     std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 10;
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Serves CBR call legs next to the download server and carries one over
+/// every link in place of the bulk download.
+class VoipApp : public trace::ScenarioApp {
+ public:
+  VoipApp(trace::Testbed& bed, trace::VoipHarness::Summary& out)
+      : bed_(bed), cbr_(bed.sim, bed.server), voip_(bed.sim, bed.server_ip()),
+        out_(out) {
+    bed.server.set_handler([this](const wire::Packet& p) {
+      if (!cbr_.on_packet(p)) bed_.downloads.on_packet(p);
+    });
   }
+  bool attach(trace::ClientRig& rig) override {
+    voip_.attach(*rig.manager);
+    return false;
+  }
+  void finish() override { out_ = voip_.summarize(bed_.sim.now()); }
 
-  mob::BackAndForthRoad route(dep.road_length_m, 10.0);
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.mode = mode;
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [&] { return route.position_at(bed.sim.now()); },
-                            cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-
-  tcp::CbrServer cbr(bed.sim, bed.server);
-  bed.server.set_handler([&](const wire::Packet& p) {
-    if (!cbr.on_packet(p)) bed.downloads.on_packet(p);
-  });
-  trace::VoipHarness voip(bed.sim, bed.server_ip());
-  voip.attach(manager);
-
-  driver.start();
-  manager.start();
-  const Time duration = sec(900);
-  bed.sim.run_until(duration);
-  return voip.summarize(duration);
-}
+ private:
+  trace::Testbed& bed_;
+  tcp::CbrServer cbr_;
+  trace::VoipHarness voip_;
+  trace::VoipHarness::Summary& out_;
+};
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Extension — VoIP suitability over Spider",
                 "64 kbps CBR legs over every link; 15-minute town drives");
 
@@ -70,15 +53,28 @@ int main() {
       {"3 channels equal", core::OperationMode::equal_split({1, 6, 11}, msec(600))},
   };
 
+  std::vector<trace::ScenarioConfig> configs;
+  for (const auto& v : variants) {
+    for (std::uint64_t seed = 900; seed < 903; ++seed) {
+      configs.push_back(bench::town_drive_15min(seed, v.mode));
+    }
+  }
+  std::vector<trace::VoipHarness::Summary> summaries(configs.size());
+  const auto results =
+      cli.run(configs, [&summaries](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<VoipApp>(bed, summaries[run]);
+      });
+
   TextTable table({"mode", "voice availability", "delivery in-call",
                    "mean delay (ms)", "jitter (ms)", "worst gap (s)",
                    "call legs"});
+  std::size_t next = 0;
   for (const auto& v : variants) {
     OnlineStats avail, deliv, delay, jitter;
     double worst_gap = 0;
     std::size_t legs = 0;
-    for (std::uint64_t seed = 900; seed < 903; ++seed) {
-      const auto s = run_mode(v.mode, seed);
+    for (int r = 0; r < 3; ++r) {
+      const auto& s = summaries[next++];
       avail.add(s.voice_availability);
       deliv.add(s.mean_delivery_ratio);
       delay.add(s.mean_delay_s);
@@ -97,5 +93,6 @@ int main() {
       "\nReading: within coverage a call leg is clean (high delivery, low\n"
       "jitter); availability tracks coverage, so the multi-channel mode is\n"
       "the VoIP-friendly configuration — §4.3's conclusion, measured.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

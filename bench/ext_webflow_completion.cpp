@@ -7,54 +7,35 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
 #include "trace/webflows.hpp"
 
 using namespace spider;
 
 namespace {
 
-trace::WebFlowHarness::Summary run_mode(const core::OperationMode& mode,
-                                        std::size_t ifaces,
-                                        std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-
-  mob::DeploymentConfig dep;
-  dep.road_length_m = 2500;
-  dep.aps_per_km = 10;
-  Rng rng = bed.fork_rng();
-  for (const auto& site : mob::generate_deployment(dep, rng)) {
-    trace::Testbed::ApSpec spec;
-    spec.channel = site.channel;
-    spec.position = site.position;
-    spec.backhaul = site.backhaul;
-    bed.add_ap(spec);
+/// Browses over the client's links in place of the bulk download.
+class WebFlowApp : public trace::ScenarioApp {
+ public:
+  WebFlowApp(trace::Testbed& bed, std::uint64_t seed,
+             trace::WebFlowHarness::Summary& out)
+      : web_(bed.sim, bed.server_ip(), trace::WebFlowConfig{},
+             Rng(seed * 13 + 1)),
+        out_(out) {}
+  bool attach(trace::ClientRig& rig) override {
+    web_.attach(*rig.manager);
+    return false;
   }
+  void finish() override { out_ = web_.summarize(); }
 
-  mob::BackAndForthRoad route(dep.road_length_m, 10.0);
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.mode = mode;
-  cfg.num_interfaces = ifaces;
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [&] { return route.position_at(bed.sim.now()); },
-                            cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::WebFlowHarness web(bed.sim, bed.server_ip(), trace::WebFlowConfig{},
-                            Rng(seed * 13 + 1));
-  web.attach(manager);
-
-  driver.start();
-  manager.start();
-  bed.sim.run_until(sec(900));
-  return web.summarize();
-}
+ private:
+  trace::WebFlowHarness web_;
+  trace::WebFlowHarness::Summary& out_;
+};
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Extension — web-flow completion over Spider",
                 "heavy-tailed object fetches with think time, town drives");
 
@@ -70,13 +51,29 @@ int main() {
        core::OperationMode::equal_split({1, 6, 11}, msec(600)), 7},
   };
 
+  std::vector<trace::ScenarioConfig> configs;
+  for (const auto& v : variants) {
+    for (std::uint64_t seed = 950; seed < 953; ++seed) {
+      auto cfg = bench::town_drive_15min(seed, v.mode);
+      cfg.spider.num_interfaces = v.ifaces;
+      configs.push_back(cfg);
+    }
+  }
+  std::vector<trace::WebFlowHarness::Summary> summaries(configs.size());
+  const auto results = cli.run(
+      configs, [&configs, &summaries](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<WebFlowApp>(bed, configs[run].seed,
+                                            summaries[run]);
+      });
+
   TextTable table({"config", "fetches", "completed", "aborted",
                    "completion rate", "median fetch (s)"});
+  std::size_t next = 0;
   for (const auto& v : variants) {
     std::size_t attempted = 0, completed = 0, aborted = 0;
     Cdf times;
-    for (std::uint64_t seed = 950; seed < 953; ++seed) {
-      auto s = run_mode(v.mode, v.ifaces, seed);
+    for (int r = 0; r < 3; ++r) {
+      const auto& s = summaries[next++];
       attempted += s.attempted;
       completed += s.completed;
       aborted += s.aborted;
@@ -98,5 +95,6 @@ int main() {
       "connection — the behavioural form of Fig. 16's distribution overlap.\n"
       "The 3-channel config completes more fetches in dead zones' fringes\n"
       "but each takes longer.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

@@ -7,9 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/adaptive.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
 #include "obs/tracer.hpp"
 
 namespace spider::trace {
@@ -43,7 +40,9 @@ void digest_join_log(ScenarioResult& result) {
 
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
-                                sim::CancelToken* cancel) {
+                                sim::CancelToken* cancel,
+                                const AppFactory& app_factory,
+                                std::size_t run) {
   const auto wall_start = std::chrono::steady_clock::now();
   TestbedConfig tb_config;
   tb_config.seed = config.seed;
@@ -75,20 +74,15 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     bed.add_ap(spec);
   }
 
+  // The run's application, if any: built on the deployed testbed and
+  // declared before the rigs, so it outlives the callbacks they hold.
+  const std::unique_ptr<ScenarioApp> app =
+      app_factory ? app_factory(run, bed) : nullptr;
+
   // The vehicles. Each client rig owns its route and driver stack; radios
   // sample routes lazily through position callbacks, so positions stay pure
   // functions of sim time (the contract the medium's mobile-rebucket epoch
   // check relies on, DESIGN.md §10).
-  struct ClientRig {
-    std::unique_ptr<mob::MobilityModel> route;
-    /// Phase shift into the route, staggering road clients along the loop.
-    Time offset{0};
-    std::unique_ptr<core::SpiderDriver> spider;
-    std::unique_ptr<base::StockWifiDriver> stock;
-    std::unique_ptr<base::FatVapDriver> fatvap;
-    std::unique_ptr<core::LinkManager> manager;
-    std::unique_ptr<core::AdaptiveModeController> adaptive;
-  };
   const int clients = std::max(1, config.clients);
   std::vector<ClientRig> rigs(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
@@ -173,10 +167,15 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   base::StockConfig stock_cfg = config.stock;
   stock_cfg.stack.radio.max_speed_mps = config.speed_mps;
 
+  // Without an app every client carries the bulk download.
+  const auto attach = [&app](ClientRig& rig) {
+    return app == nullptr || app->attach(rig);
+  };
+
   // Assemble one driver stack per client. Construction and start order per
-  // rig matches the old single-client path exactly (driver, manager,
-  // harness attach, starts, adaptive), so one-client runs replay the same
-  // event sequence to the byte. Every rig runs the shared tuned config.
+  // rig is fixed (driver, manager, app/harness attach, starts, adaptive,
+  // app start), so one-client runs replay the same event sequence to the
+  // byte. Every rig runs the shared tuned config.
   for (int c = 0; c < clients; ++c) {
     ClientRig& rig = rigs[static_cast<std::size_t>(c)];
     auto position = [route = rig.route.get(), offset = rig.offset,
@@ -190,7 +189,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
             spider_cfg);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.spider, bed.server_ip());
-        harness.attach(*rig.manager);
+        if (attach(rig)) harness.attach(*rig.manager);
         rig.spider->start();
         rig.manager->start();
         if (config.adaptive) {
@@ -204,7 +203,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
         rig.stock = std::make_unique<base::StockWifiDriver>(
             bed.sim, bed.medium, bed.next_client_mac_block(), position,
             stock_cfg, bed.server_ip());
-        harness.attach(*rig.stock);
+        if (attach(rig)) harness.attach(*rig.stock);
         rig.stock->start();
         break;
       }
@@ -214,15 +213,17 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
             spider_cfg, config.fatvap);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.fatvap, bed.server_ip());
-        harness.attach(*rig.manager);
+        if (attach(rig)) harness.attach(*rig.manager);
         rig.fatvap->start();
         rig.manager->start();
         break;
       }
     }
+    if (app) app->started(rig);
   }
   bed.sim.run_until(config.duration);
   result.completed = !bed.sim.interrupted();
+  if (app) app->finish();
 
   // Harvest in client order: join logs concatenate, switch counts sum,
   // latency accumulators merge (parallel Welford). An interrupted run

@@ -1,15 +1,20 @@
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "baseline/fatvap.hpp"
 #include "baseline/stock_wifi.hpp"
+#include "core/adaptive.hpp"
 #include "core/config.hpp"
 #include "core/link_manager.hpp"
+#include "core/spider_driver.hpp"
 #include "fault/fault.hpp"
 #include "mobility/deployment.hpp"
+#include "mobility/mobility.hpp"
 #include "trace/impairment.hpp"
 #include "net/dhcp_server.hpp"
 #include "obs/metrics.hpp"
@@ -134,16 +139,56 @@ struct ScenarioResult {
   std::vector<std::shared_ptr<const obs::Tracer>> traces;
 };
 
+/// One vehicle of a drive: its route and the driver stack the scenario
+/// runs. Spider and FatVAP rigs carry a LinkManager; `adaptive` is set only
+/// for Spider with ScenarioConfig::adaptive.
+struct ClientRig {
+  std::unique_ptr<mob::MobilityModel> route;
+  /// Phase shift into the route, staggering road clients along the loop.
+  Time offset{0};
+  std::unique_ptr<core::SpiderDriver> spider;
+  std::unique_ptr<base::StockWifiDriver> stock;
+  std::unique_ptr<base::FatVapDriver> fatvap;
+  std::unique_ptr<core::LinkManager> manager;
+  std::unique_ptr<core::AdaptiveModeController> adaptive;
+};
+
+/// What a run carries per client besides, or instead of, the bulk download
+/// (VoIP calls, web flows, a hand-off tracker, ...). Passed to
+/// ScenarioRunner::run_many by benches; never part of ScenarioConfig, so
+/// the wire form, validate() and the server never see it (DESIGN.md §5).
+class ScenarioApp {
+ public:
+  virtual ~ScenarioApp() = default;
+  /// Per client, after its driver and manager are built, before they
+  /// start. Returns whether the bulk download attaches too; an app that
+  /// returns false owns the link callbacks (and a faulted run's outage
+  /// tracking with them).
+  virtual bool attach(ClientRig& rig) = 0;
+  /// Per client, right after its stack (and adaptive controller) started.
+  virtual void started(ClientRig& /*rig*/) {}
+  /// Once, when the run has ended.
+  virtual void finish() {}
+};
+
+/// Builds run `run`'s app (its index in the batch) on the run's testbed,
+/// after the APs are deployed and before any client is assembled. Runner
+/// workers call it concurrently; each call touches only its own run.
+using AppFactory =
+    std::function<std::unique_ptr<ScenarioApp>(std::size_t run, Testbed& bed)>;
+
 namespace detail {
 /// The single scenario kernel every entrypoint funnels into: assembles the
 /// testbed, installs `tracer` on the simulator when given, runs, harvests.
 /// When `cancel` is non-null the simulator polls it (DESIGN.md §11): a
 /// tripped token interrupts the run and the partial result comes back with
 /// `completed == false`. Completed runs are byte-identical with or without
-/// a token installed.
+/// a token installed. `app`, when set, builds run `run`'s ScenarioApp.
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
-                                sim::CancelToken* cancel = nullptr);
+                                sim::CancelToken* cancel = nullptr,
+                                const AppFactory& app = {},
+                                std::size_t run = 0);
 
 /// Fills the join-log digests (attempted/assoc/dhcp/e2e) from result.join_log.
 void digest_join_log(ScenarioResult& result);

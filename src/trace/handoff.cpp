@@ -17,13 +17,10 @@ void HandoffTracker::attach(base::StockWifiDriver& stock) {
 }
 
 void HandoffTracker::record_link_up() {
-  ++ups_;
-  ++live_;
   events_.push_back({sim_.now(), true});
 }
 
 void HandoffTracker::record_link_down() {
-  --live_;
   events_.push_back({sim_.now(), false});
 }
 

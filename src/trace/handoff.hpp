@@ -36,8 +36,6 @@ class HandoffTracker {
   /// Computes the summary from the recorded event stream.
   Summary summarize() const;
 
-  std::size_t links_seen() const { return ups_; }
-
  private:
   struct Event {
     Time at;
@@ -46,8 +44,6 @@ class HandoffTracker {
 
   sim::Simulator& sim_;
   std::vector<Event> events_;
-  std::size_t ups_ = 0;
-  int live_ = 0;
 };
 
 }  // namespace spider::trace

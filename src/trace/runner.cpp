@@ -19,7 +19,7 @@ std::shared_ptr<obs::Tracer> ScenarioRunner::make_tracer(
 }
 
 std::vector<ScenarioResult> ScenarioRunner::execute(
-    const std::vector<ScenarioConfig>& expanded) const {
+    const std::vector<ScenarioConfig>& expanded, const AppFactory& app) const {
   return util::parallel_map(options_.jobs, expanded.size(), [&](std::size_t i) {
     // A tripped token skips runs that have not started yet — the sweep
     // returns promptly with every remaining slot marked incomplete
@@ -30,7 +30,7 @@ std::vector<ScenarioResult> ScenarioRunner::execute(
       return skipped;
     }
     return detail::execute_scenario(expanded[i], make_tracer(expanded[i].seed),
-                                    options_.cancel);
+                                    options_.cancel, app, i);
   });
 }
 
@@ -99,8 +99,8 @@ ScenarioResult ScenarioRunner::run_one(const ScenarioConfig& config) const {
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_many(
-    const std::vector<ScenarioConfig>& configs) const {
-  std::vector<ScenarioResult> results = execute(configs);
+    const std::vector<ScenarioConfig>& configs, const AppFactory& app) const {
+  std::vector<ScenarioResult> results = execute(configs, app);
   write_sinks(results);
   return results;
 }

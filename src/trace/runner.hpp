@@ -78,9 +78,11 @@ class ScenarioRunner {
                          sim::CancelToken* cancel = nullptr) const;
 
   /// One result per config, results[i] from configs[i], computed with
-  /// `jobs` workers.
+  /// `jobs` workers. When `app` is set, run i carries the ScenarioApp
+  /// `app(i, testbed)` builds.
   std::vector<ScenarioResult> run_many(
-      const std::vector<ScenarioConfig>& configs) const;
+      const std::vector<ScenarioConfig>& configs,
+      const AppFactory& app = {}) const;
 
   /// Per config: `runs` seeded runs (seed, seed+1, ...) pooled into one
   /// result by pool_results; `runs` < 1 behaves as 1. The expansion is
@@ -93,7 +95,8 @@ class ScenarioRunner {
   /// A fresh flight recorder for one run of `seed`, or null when untraced.
   std::shared_ptr<obs::Tracer> make_tracer(std::uint64_t seed) const;
   std::vector<ScenarioResult> execute(
-      const std::vector<ScenarioConfig>& expanded) const;
+      const std::vector<ScenarioConfig>& expanded,
+      const AppFactory& app = {}) const;
   void write_sinks(const std::vector<ScenarioResult>& results) const;
 
   RunnerOptions options_;

@@ -83,6 +83,26 @@ Time seconds_exact(double v) {
 Time millis_exact(double v) {
   return Time{static_cast<std::int64_t>(std::llround(v * 1e3))};
 }
+Time millis_truncated(double v) { return msec(static_cast<std::int64_t>(v)); }
+
+/// Reads a time in units of `ticks_per_unit` microseconds (1e6 for *_s
+/// keys, 1e3 for *_ms keys) and converts it with the key's own rounding.
+/// It is bounded to +/-1e18 us first: converting a double beyond the tick
+/// range is undefined behaviour. The sign is left to validate().
+bool read_time(const Json& value, const std::string& field,
+               double ticks_per_unit, Time (*convert)(double), Time* out,
+               std::string* error) {
+  const double bound = 1e18 / ticks_per_unit;
+  double v = 0.0;
+  if (!read_number(value, field, &v, error)) return false;
+  if (!(v >= -bound && v <= bound)) {
+    return set_error(error, field + " must be a time in [" +
+                                json_number(-bound) + ", " +
+                                json_number(bound) + "]");
+  }
+  *out = convert(v);
+  return true;
+}
 
 void write_replay(std::ostream& os, const tracein::ReplayOptions& replay) {
   os << "{\"mapping\":\"" << tracein::to_string(replay.mapping) << '"'
@@ -101,7 +121,6 @@ bool parse_replay(const Json& json, tracein::ReplayOptions* replay,
   for (const auto& [key, value] : json.members()) {
     const std::string field = "impairments.replay." + key;
     bool ok = true;
-    double v = 0.0;
     if (key == "mapping") {
       if (!value.is_string() ||
           !tracein::replay_mapping_from_string(value.string_value(),
@@ -115,11 +134,11 @@ bool parse_replay(const Json& json, tracein::ReplayOptions* replay,
     } else if (key == "min_occupancy") {
       ok = read_number(value, field, &replay->min_occupancy, error);
     } else if (key == "tail_window_s") {
-      ok = read_number(value, field, &v, error);
-      replay->tail_window = seconds_exact(v);
+      ok = read_time(value, field, 1e6, seconds_exact, &replay->tail_window,
+                     error);
     } else if (key == "burst_dwell_ms") {
-      ok = read_number(value, field, &v, error);
-      replay->burst_dwell = millis_exact(v);
+      ok = read_time(value, field, 1e3, millis_exact, &replay->burst_dwell,
+                     error);
     } else {
       return set_error(error,
                        "unknown impairments.replay key '" + key + "'");
@@ -139,28 +158,23 @@ bool parse_fault_spec(const Json& json, std::size_t index,
   for (const auto& [key, value] : json.members()) {
     const std::string field = prefix + "." + key;
     bool ok = true;
-    double v = 0.0;
     if (key == "kind") {
       if (!value.is_string() ||
           !fault::fault_kind_from_string(value.string_value(), &spec->kind)) {
         return set_error(error, prefix + ".kind is not a known fault kind");
       }
     } else if (key == "at_s") {
-      ok = read_number(value, field, &v, error);
-      spec->at = seconds_exact(v);
+      ok = read_time(value, field, 1e6, seconds_exact, &spec->at, error);
     } else if (key == "duration_s") {
-      ok = read_number(value, field, &v, error);
-      spec->duration = seconds_exact(v);
+      ok = read_time(value, field, 1e6, seconds_exact, &spec->duration, error);
     } else if (key == "target") {
       ok = read_integer(value, field, &spec->target, error);
     } else if (key == "intensity") {
       ok = read_number(value, field, &spec->intensity, error);
     } else if (key == "burst_ms") {
-      ok = read_number(value, field, &v, error);
-      spec->burst_mean = millis_exact(v);
+      ok = read_time(value, field, 1e3, millis_exact, &spec->burst_mean, error);
     } else if (key == "gap_ms") {
-      ok = read_number(value, field, &v, error);
-      spec->gap_mean = millis_exact(v);
+      ok = read_time(value, field, 1e3, millis_exact, &spec->gap_mean, error);
     } else {
       return set_error(error, "unknown " + prefix + " key '" + key + "'");
     }
@@ -229,8 +243,9 @@ bool parse_impairments(const Json& json, ImpairmentSource* out,
               error, prefix + " must be [t_s, channel, occupancy] numbers");
         }
         tracein::OccupancySample sample;
-        sample.at = seconds_exact(row.elements()[0].number_or(0.0));
-        if (!read_integer(row.elements()[1], prefix + "[1]", &sample.channel,
+        if (!read_time(row.elements()[0], prefix + "[0]", 1e6, seconds_exact,
+                       &sample.at, error) ||
+            !read_integer(row.elements()[1], prefix + "[1]", &sample.channel,
                           error)) {
           return false;
         }
@@ -350,19 +365,16 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
   ScenarioConfig out;  // protocol defaults = library defaults
   for (const auto& [key, value] : json.members()) {
     bool ok = true;
-    double v = 0.0;
     if (key == "seed") {
       ok = read_integer(value, key, &out.seed, error);
     } else if (key == "duration_s") {
-      ok = read_number(value, key, &v, error);
-      out.duration = sec(v);
+      ok = read_time(value, key, 1e6, sec, &out.duration, error);
     } else if (key == "speed_mps") {
       ok = read_number(value, key, &out.speed_mps, error);
     } else if (key == "clients") {
       ok = read_integer(value, key, &out.clients, error);
     } else if (key == "metrics_bin_s") {
-      ok = read_number(value, key, &v, error);
-      out.metrics_bin = sec(v);
+      ok = read_time(value, key, 1e6, sec, &out.metrics_bin, error);
     } else if (key == "driver") {
       if (!value.is_string() ||
           !driver_from_string(value.string_value(), &out.driver)) {
@@ -380,8 +392,10 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
         return set_error(error, "mode needs period_ms and fractions");
       }
       core::OperationMode mode;
-      if (!read_number(*period, "mode.period_ms", &v, error)) return false;
-      mode.period = msec(static_cast<std::int64_t>(v));
+      if (!read_time(*period, "mode.period_ms", 1e3, millis_truncated,
+                     &mode.period, error)) {
+        return false;
+      }
       for (std::size_t i = 0; i < fractions->elements().size(); ++i) {
         const Json& pair = fractions->elements()[i];
         if (!pair.is_array() || pair.elements().size() != 2) {

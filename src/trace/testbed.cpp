@@ -63,7 +63,6 @@ void DownloadHarness::attach(base::StockWifiDriver& stock) {
 }
 
 void DownloadHarness::link_up(core::VirtualInterface& vif) {
-  ++links_seen_;
   if (extra_.on_link_up) extra_.on_link_up(vif);
   auto client = std::make_unique<tcp::DownloadClient>(
       sim_, sim_.allocate_id(), vif.ip(), server_ip_,

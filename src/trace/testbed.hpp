@@ -102,9 +102,6 @@ class DownloadHarness {
     extra_ = std::move(extra);
   }
 
-  std::size_t active_downloads() const { return clients_.size(); }
-  std::uint64_t links_seen() const { return links_seen_; }
-
  private:
   void link_up(core::VirtualInterface& vif);
   void link_down(core::VirtualInterface& vif);
@@ -117,7 +114,6 @@ class DownloadHarness {
   // several drivers whose interfaces share index values.
   std::unordered_map<const core::VirtualInterface*,
                      std::unique_ptr<tcp::DownloadClient>> clients_;
-  std::uint64_t links_seen_ = 0;
 };
 
 }  // namespace spider::trace

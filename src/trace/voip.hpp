@@ -52,8 +52,6 @@ class VoipHarness {
   /// Finalises per-second accounting and aggregates.
   Summary summarize(Time duration, double voice_ok_fraction = 0.8);
 
-  const std::vector<CallRecord>& calls() const { return finished_; }
-
  private:
   struct ActiveCall {
     std::unique_ptr<tcp::CbrSink> sink;

@@ -54,7 +54,6 @@ class WebFlowHarness {
   void attach(core::LinkManager& manager);
 
   Summary summarize();
-  const std::vector<FlowRecord>& flows() const { return log_; }
 
  private:
   void link_up(core::VirtualInterface& vif);

@@ -54,15 +54,16 @@ struct RowChecker {
       fail(line_no, "bad timestamp " + num17(t_s) +
                         " (must be finite seconds >= 0)");
     }
-    const double channel_floor = std::floor(channel_raw);
-    if (!std::isfinite(channel_raw) || channel_floor != channel_raw) {
+    if (!std::isfinite(channel_raw) || std::floor(channel_raw) != channel_raw) {
       fail(line_no, "channel must be an integer");
     }
-    const auto channel = static_cast<wire::Channel>(channel_floor);
-    if (!wire::in_band(channel)) {
-      fail(line_no, "unknown channel " + std::to_string(channel) +
+    // Band-checked as a double: casting one outside the Channel range is
+    // undefined behaviour.
+    if (!(channel_raw >= 1.0 && channel_raw <= wire::kMaxChannel)) {
+      fail(line_no, "unknown channel " + num17(channel_raw) +
                         " (2.4 GHz band is 1..14)");
     }
+    const auto channel = static_cast<wire::Channel>(channel_raw);
     if (!std::isfinite(occupancy) || occupancy < 0.0 || occupancy > 1.0) {
       fail(line_no, "occupancy " + num17(occupancy) + " outside [0, 1]");
     }

@@ -58,16 +58,4 @@ std::string TextTable::to_string() const {
   return oss.str();
 }
 
-void print_series(std::ostream& os, const std::string& caption,
-                  const std::string& x_label, const std::string& y_label,
-                  const std::vector<std::pair<double, double>>& points,
-                  int precision) {
-  os << caption << '\n';
-  TextTable t({x_label, y_label});
-  for (const auto& [x, y] : points) {
-    t.add_row({TextTable::num(x, precision), TextTable::num(y, precision)});
-  }
-  t.print(os);
-}
-
 }  // namespace spider

@@ -27,11 +27,4 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Prints a (x, y) series as two aligned columns with a caption; used for
-/// figure benches that emit curves rather than tables.
-void print_series(std::ostream& os, const std::string& caption,
-                  const std::string& x_label, const std::string& y_label,
-                  const std::vector<std::pair<double, double>>& points,
-                  int precision = 4);
-
 }  // namespace spider

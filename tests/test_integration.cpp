@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
 #include "core/spider_driver.hpp"
 #include "mobility/mobility.hpp"
 #include "trace/experiment.hpp"
+#include "trace/handoff.hpp"
 #include "trace/runner.hpp"
 
 namespace spider::trace {
@@ -179,6 +181,135 @@ TEST(Integration, TwoVehiclesShareTheTown) {
   EXPECT_GT(rec_b.total_bytes(), 0u);
   EXPECT_GT(mgr_a.joins_attempted(), 0u);
   EXPECT_GT(mgr_b.joins_attempted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ScenarioApp: the per-client application hook of ScenarioRunner::run_many
+// ---------------------------------------------------------------------------
+
+/// Reference: the hand-built rig a bench used to assemble for a one-client
+/// Spider drive with a hand-off tracker in place of the download.
+HandoffTracker::Summary hand_built_handoffs(const ScenarioConfig& cfg) {
+  TestbedConfig tc;
+  tc.seed = cfg.seed;
+  Testbed bed(tc);
+  Rng rng = bed.fork_rng();
+  for (const auto& site : mob::generate_deployment(cfg.deployment, rng)) {
+    Testbed::ApSpec spec;
+    spec.channel = site.channel;
+    spec.position = site.position;
+    spec.backhaul = site.backhaul;
+    spec.dhcp = cfg.dhcp_server;
+    bed.add_ap(spec);
+  }
+  mob::BackAndForthRoad route(cfg.deployment.road_length_m, cfg.speed_mps);
+  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
+                            [&] { return route.position_at(bed.sim.now()); },
+                            cfg.spider);
+  core::LinkManager manager(driver, bed.server_ip());
+  HandoffTracker tracker(bed.sim);
+  tracker.attach(manager);
+  driver.start();
+  manager.start();
+  bed.sim.run_until(cfg.duration);
+  return tracker.summarize();
+}
+
+/// Attaches a hand-off tracker to every client, in place of the download.
+class TrackHandoffs : public ScenarioApp {
+ public:
+  TrackHandoffs(sim::Simulator& sim, HandoffTracker::Summary& out)
+      : tracker_(sim), out_(out) {}
+  bool attach(ClientRig& rig) override {
+    tracker_.attach(*rig.manager);
+    return false;
+  }
+  void finish() override { out_ = tracker_.summarize(); }
+
+ private:
+  HandoffTracker tracker_;
+  HandoffTracker::Summary& out_;
+};
+
+/// Keeps the download and only counts the hook calls it sees.
+struct CountHooks : ScenarioApp {
+  explicit CountHooks(std::vector<int>& calls) : calls_(calls) {}
+  bool attach(ClientRig& rig) override {
+    EXPECT_NE(rig.manager, nullptr);
+    ++calls_[0];
+    return true;
+  }
+  void started(ClientRig&) override { ++calls_[1]; }
+  void finish() override { ++calls_[2]; }
+  std::vector<int>& calls_;
+};
+
+ScenarioConfig short_town(std::uint64_t seed) {
+  ScenarioConfig cfg = town(DriverKind::kSpider, seed);
+  cfg.duration = sec(120);
+  return cfg;
+}
+
+void expect_same_summary(const HandoffTracker::Summary& a,
+                         const HandoffTracker::Summary& b) {
+  EXPECT_EQ(a.handoffs, b.handoffs);
+  EXPECT_EQ(a.soft, b.soft);
+  EXPECT_EQ(a.gap_seconds.samples(), b.gap_seconds.samples());
+}
+
+TEST(ScenarioApp, TrackerMatchesTheHandBuiltRig) {
+  const ScenarioConfig cfg = short_town(41);
+  const HandoffTracker::Summary reference = hand_built_handoffs(cfg);
+  ASSERT_GT(reference.handoffs, 0u);
+
+  HandoffTracker::Summary hooked;
+  const auto results = ScenarioRunner().run_many(
+      {cfg}, [&hooked](std::size_t, Testbed& bed) {
+        return std::make_unique<TrackHandoffs>(bed.sim, hooked);
+      });
+  expect_same_summary(hooked, reference);
+  // The tracker replaced the download: no bulk bytes moved.
+  EXPECT_EQ(results.front().total_bytes, 0u);
+}
+
+TEST(ScenarioApp, KeepingTheDownloadLeavesTheRunUnchanged) {
+  // A faulted run, so the resilience callbacks on the download path are
+  // exercised too.
+  ScenarioConfig cfg = short_town(43);
+  cfg.impairments.schedule.ap_blackout(sec(20), sec(5), 0)
+      .gateway_flap(sec(40), sec(8), 1)
+      .dhcp_stall(sec(60), sec(10), 2);
+  cfg.clients = 2;
+  const ScenarioResult plain = ScenarioRunner().run_one(cfg);
+
+  std::vector<int> calls(3, 0);
+  const auto hooked = ScenarioRunner().run_many(
+      {cfg}, [&calls](std::size_t, Testbed&) {
+        return std::make_unique<CountHooks>(calls);
+      });
+  EXPECT_EQ(bench::fault_digest(hooked.front()), bench::fault_digest(plain));
+  EXPECT_GT(plain.faults_injected, 0u);
+  EXPECT_EQ(calls, (std::vector<int>{2, 2, 1}));
+}
+
+TEST(ScenarioApp, ResultsAreIndependentOfJobs) {
+  std::vector<ScenarioConfig> configs;
+  for (std::uint64_t seed = 51; seed < 55; ++seed) {
+    configs.push_back(short_town(seed));
+  }
+  const auto sweep = [&configs](std::size_t jobs) {
+    std::vector<HandoffTracker::Summary> out(configs.size());
+    ScenarioRunner({.jobs = jobs})
+        .run_many(configs, [&out](std::size_t run, Testbed& bed) {
+          return std::make_unique<TrackHandoffs>(bed.sim, out[run]);
+        });
+    return out;
+  };
+  const auto serial = sweep(1);
+  const auto parallel = sweep(4);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    expect_same_summary(parallel[i], serial[i]);
+  }
 }
 
 }  // namespace

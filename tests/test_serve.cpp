@@ -527,6 +527,49 @@ TEST(Protocol, MistypedOrOutOfRangeValuesAreErrors) {
   EXPECT_EQ(config.clients, 3);
 }
 
+TEST(Protocol, OutOfRangeTimesAreFieldNamedErrors) {
+  // A wire time beyond the tick range used to be cast to int64 unchecked
+  // (undefined behaviour): 1e30 s read as -2^63 us.
+  const std::string seconds = " must be a time in [-1000000000000, 1000000000000]";
+  const std::string millis =
+      " must be a time in [-1000000000000000, 1000000000000000]";
+  EXPECT_EQ(scenario_parse_failure(R"({"duration_s":1e30})"),
+            "duration_s" + seconds);
+  EXPECT_EQ(scenario_parse_failure(R"({"metrics_bin_s":-1e300})"),
+            "metrics_bin_s" + seconds);
+  EXPECT_EQ(scenario_parse_failure(
+                R"({"mode":{"period_ms":1e30,"fractions":[[1,1]]}})"),
+            "mode.period_ms" + millis);
+  EXPECT_EQ(
+      scenario_parse_failure(
+          R"({"impairments":{"kind":"synthetic","schedule":[{"at_s":1e30}]}})"),
+      "impairments.schedule[0].at_s" + seconds);
+  EXPECT_EQ(
+      scenario_parse_failure(
+          R"({"impairments":{"kind":"synthetic","schedule":[{"gap_ms":1e300}]}})"),
+      "impairments.schedule[0].gap_ms" + millis);
+  EXPECT_EQ(
+      scenario_parse_failure(
+          R"({"impairments":{"kind":"trace-file","path":"x","replay":{"tail_window_s":1e30}}})"),
+      "impairments.replay.tail_window_s" + seconds);
+  EXPECT_EQ(
+      scenario_parse_failure(
+          R"({"impairments":{"kind":"inline-timeline","samples":[[1e30,6,0.5]]}})"),
+      "impairments.samples[0][0]" + seconds);
+
+  // In-range times keep each key's rounding.
+  const std::optional<util::Json> json = util::Json::parse(
+      R"({"duration_s":1000000000000,"metrics_bin_s":0.0000019,)"
+      R"("mode":{"period_ms":600.9,"fractions":[[1,1]]}})");
+  ASSERT_TRUE(json.has_value());
+  trace::ScenarioConfig config;
+  std::string error;
+  ASSERT_TRUE(parse_scenario(*json, &config, &error)) << error;
+  EXPECT_EQ(config.duration, sec(1e12));
+  EXPECT_EQ(config.metrics_bin, usec(1));
+  EXPECT_EQ(config.spider.mode.period, msec(600));
+}
+
 TEST(Protocol, OnlineStatsMomentsReconstructExactly) {
   OnlineStats a;
   for (int i = 0; i < 100; ++i) a.add(0.1 * i * (i % 7 ? 1.0 : -1.0));

@@ -123,6 +123,20 @@ TEST(OccupancyIngest, MalformedCsvRowsReportLineNumbers) {
   EXPECT_EQ(ingest_error("10,6,0.2\n0,11,0.2\n"), "");
 }
 
+TEST(OccupancyIngest, OutOfRangeChannelReportsItsRealValue) {
+  // A channel beyond the integer range used to be cast before the band
+  // check (undefined behaviour), and the error showed the wrapped value.
+  EXPECT_EQ(ingest_error("0,1,0.2\n0,1e30,0.5\n"),
+            "occupancy trace line 2: unknown channel 1e+30 "
+            "(2.4 GHz band is 1..14)");
+  EXPECT_EQ(ingest_error("0,4294967297,0.5\n"),
+            "occupancy trace line 1: unknown channel 4294967297 "
+            "(2.4 GHz band is 1..14)");
+  EXPECT_EQ(ingest_error("0,0,0.5\n"),
+            "occupancy trace line 1: unknown channel 0 "
+            "(2.4 GHz band is 1..14)");
+}
+
 TEST(OccupancyIngest, MalformedJsonlRowsReportLineNumbers) {
   EXPECT_EQ(ingest_error("{\"channel\":6,\"occupancy\":0.4}\n"),
             "occupancy trace line 1: missing numeric field 't_s'");
