@@ -7,81 +7,37 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "util/thread_pool.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
-
-namespace {
-
-double run(core::PsmRetrieval retrieval, Time dwell, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  tc.propagation.base_loss = 0.01;
-  tc.propagation.good_radius_m = 95;
-  trace::Testbed bed(tc);
-  trace::Testbed::ApSpec spec;
-  spec.channel = 1;
-  spec.position = {15, 0};
-  spec.backhaul = mbps(4);
-  spec.dhcp.offer_delay_median = msec(150);
-  spec.dhcp.offer_delay_max = msec(400);
-  bed.add_ap(spec);
-
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.num_interfaces = 1;
-  cfg.mode = core::OperationMode::equal_split({1, 11}, 2 * dwell);
-  cfg.psm_retrieval = retrieval;
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [] { return Position{0, 0}; }, cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::ThroughputRecorder rec;
-  trace::DownloadHarness harness(bed.sim, bed.server_ip(), rec);
-  harness.attach(manager);
-  driver.start();
-  manager.start();
-
-  bed.sim.run_until(sec(15));
-  const auto warm = rec.total_bytes();
-  bed.sim.run_until(sec(75));
-  return static_cast<double>(rec.total_bytes() - warm) / 60.0 / 1e3;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Ablation — PSM retrieval: NullData wake vs PS-Poll",
                 "50/50 two-channel schedule, 4 Mbps AP, 60 s download x3 seeds");
 
-  // Flatten (dwell x retrieval x seed) into one indexed parallel map; the
-  // serial summation below consumes the results in a fixed order, so the
-  // printed table is byte-identical for any --jobs.
+  // Per dwell and seed: the wake-flush run, then the PS-Poll run.
   const int dwells[] = {50, 100, 200, 400};
-  struct Cell {
-    core::PsmRetrieval retrieval;
-    Time dwell;
-    std::uint64_t seed;
-  };
-  std::vector<Cell> cells;
+  std::vector<trace::ScenarioConfig> configs;
   for (int dwell_ms : dwells) {
     for (std::uint64_t seed = 995; seed < 998; ++seed) {
-      cells.push_back({core::PsmRetrieval::kWakeNull, msec(dwell_ms), seed});
-      cells.push_back({core::PsmRetrieval::kPsPoll, msec(dwell_ms), seed});
+      for (const auto retrieval :
+           {core::PsmRetrieval::kWakeNull, core::PsmRetrieval::kPsPoll}) {
+        auto cfg =
+            bench::static_rig(seed, sec(75), {{{15, 0}, 1, mbps(4)}});
+        cfg.spider.num_interfaces = 1;
+        cfg.spider.mode =
+            core::OperationMode::equal_split({1, 11}, 2 * msec(dwell_ms));
+        cfg.spider.psm_retrieval = retrieval;
+        configs.push_back(cfg);
+      }
     }
   }
-  const auto rates = util::parallel_map(
-      cli.sweep.jobs, cells.size(), [&cells](std::size_t i) {
-        return run(cells[i].retrieval, cells[i].dwell, cells[i].seed);
-      });
+  const std::vector<double> rates = bench::run_windows(cli, configs);
 
   TextTable table({"dwell per channel (ms)", "wake-flush (KB/s)",
                    "ps-poll (KB/s)", "wake advantage"});
   std::size_t next = 0;
   for (int dwell_ms : dwells) {
-    (void)dwell_ms;
     double wake = 0, poll = 0;
     for (int r = 0; r < 3; ++r) {
       wake += rates[next++] / 3;

@@ -13,8 +13,10 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/cancel.hpp"
@@ -311,6 +313,82 @@ inline trace::ScenarioConfig town_drive_15min(std::uint64_t seed,
   cfg.spider = tuned_spider();
   cfg.spider.mode = mode;
   return cfg;
+}
+
+/// The indoor rig of the driver micro-benchmarks (Table 1, Figs. 7, 8, 10,
+/// the PSM ablation): a static client at the origin (speed 0 parks it at
+/// the road's start), `sites` in easy range (1% base loss, 95 m good
+/// radius) behind quick DHCP servers, and the tuned stack.
+inline trace::ScenarioConfig static_rig(std::uint64_t seed, Time duration,
+                                        std::vector<mob::ApSite> sites) {
+  trace::ScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.duration = duration;
+  cfg.speed_mps = 0.0;
+  cfg.fixed_sites = std::move(sites);
+  cfg.propagation.base_loss = 0.01;
+  cfg.propagation.good_radius_m = 95;
+  cfg.dhcp_server.offer_delay_median = msec(150);
+  cfg.dhcp_server.offer_delay_max = msec(400);
+  cfg.spider = tuned_spider();
+  return cfg;
+}
+
+/// Posts `fn` where a bench reading the run between run_until(t) and the
+/// next run_until would act: one tick after `t`. run_until(t) runs every
+/// event at `t` before its caller reads, while an event posted now for `t`
+/// would run ahead of the events queued for `t` later.
+template <typename Fn>
+void post_after(sim::Simulator& sim, Time t, Fn&& fn) {
+  sim.post_at(t + usec(1), std::forward<Fn>(fn));
+}
+
+/// The bulk download measured over a window: joins and slow start settle
+/// for the first 15 s, then the KB/s delivered from there to the end of the
+/// run lands in `kBps`. The app owns its recorder and harness, so the run's
+/// own download stays detached.
+class WindowDownload : public trace::ScenarioApp {
+ public:
+  static constexpr Time kWarmup = sec(15);
+
+  WindowDownload(trace::Testbed& bed, double& kBps)
+      : sim_(bed.sim), harness_(bed.sim, bed.server_ip(), recorder_),
+        kBps_(kBps) {
+    post_after(sim_, kWarmup,
+               [this] { warm_bytes_ = recorder_.total_bytes(); });
+  }
+  bool attach(trace::ClientRig& rig) override {
+    if (rig.stock) {
+      harness_.attach(*rig.stock);
+    } else {
+      harness_.attach(*rig.manager);
+    }
+    return false;
+  }
+  void finish() override {
+    kBps_ = static_cast<double>(recorder_.total_bytes() - warm_bytes_) /
+            to_seconds(sim_.now() - kWarmup) / 1e3;
+  }
+
+ private:
+  sim::Simulator& sim_;
+  trace::ThroughputRecorder recorder_;
+  trace::DownloadHarness harness_;
+  double& kBps_;
+  std::uint64_t warm_bytes_ = 0;
+};
+
+/// Runs `configs` on the sweep, each with a WindowDownload; returns each
+/// run's window KB/s in config order.
+inline std::vector<double> run_windows(
+    const SweepCli& cli, const std::vector<trace::ScenarioConfig>& configs) {
+  std::vector<double> kBps(configs.size());
+  const auto results =
+      cli.run(configs, [&kBps](std::size_t run, trace::Testbed& bed) {
+        return std::make_unique<WindowDownload>(bed, kBps[run]);
+      });
+  maybe_write_perf_csv(cli, results);
+  return kBps;
 }
 
 /// Prints a CDF as fraction-at-or-below over a fixed grid, one row per x.

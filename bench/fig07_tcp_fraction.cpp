@@ -8,75 +8,44 @@
 // rather than timing out.
 
 #include <cstdio>
-#include <memory>
 
 #include "bench/bench_util.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
-namespace {
-
-double run_once(double f_primary, Time period, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  tc.propagation.base_loss = 0.01;
-  tc.propagation.good_radius_m = 95;
-  trace::Testbed bed(tc);
-
-  trace::Testbed::ApSpec spec;
-  spec.channel = 6;
-  spec.position = {15, 0};
-  spec.backhaul = mbps(5);
-  spec.dhcp.offer_delay_median = msec(150);
-  spec.dhcp.offer_delay_max = msec(400);
-  bed.add_ap(spec);
-
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.num_interfaces = 1;
-  if (f_primary >= 1.0) {
-    cfg.mode = core::OperationMode::single(6);
-  } else {
-    cfg.mode = core::OperationMode::weighted(
-        {{6, f_primary}, {1, (1.0 - f_primary) / 2}, {11, (1.0 - f_primary) / 2}},
-        period);
-  }
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [] { return Position{0, 0}; }, cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::ThroughputRecorder recorder;
-  trace::DownloadHarness harness(bed.sim, bed.server_ip(), recorder);
-  harness.attach(manager);
-  driver.start();
-  manager.start();
-
-  // Warm up (join + slow start), then measure a clean minute.
-  bed.sim.run_until(sec(15));
-  const auto warmup_bytes = recorder.total_bytes();
-  bed.sim.run_until(sec(75));
-  return static_cast<double>(recorder.total_bytes() - warmup_bytes) / 60.0 /
-         1e3;  // KB/s
-}
-
-double run_with_fraction(double f_primary, Time period) {
-  double sum = 0;
-  for (std::uint64_t seed = 70; seed < 73; ++seed) {
-    sum += run_once(f_primary, period, seed);
-  }
-  return sum / 3.0;
-}
-
-}  // namespace
-
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Fig. 7 — TCP throughput vs % time on primary channel",
                 "static client, D=400ms, 5 Mbps backhaul, bulk download");
 
-  TextTable table({"% on primary", "avg throughput (KB/s)", "(kbps)"});
+  // Per share: three seeds, each a clean minute after the warm-up.
+  std::vector<trace::ScenarioConfig> configs;
   for (int pct = 10; pct <= 100; pct += 10) {
-    const double kBps = run_with_fraction(pct / 100.0, msec(400));
+    const double f_primary = pct / 100.0;
+    for (std::uint64_t seed = 70; seed < 73; ++seed) {
+      auto cfg =
+          bench::static_rig(seed, sec(75), {{{15, 0}, 6, mbps(5)}});
+      cfg.spider.num_interfaces = 1;
+      if (f_primary >= 1.0) {
+        cfg.spider.mode = core::OperationMode::single(6);
+      } else {
+        cfg.spider.mode = core::OperationMode::weighted(
+            {{6, f_primary},
+             {1, (1.0 - f_primary) / 2},
+             {11, (1.0 - f_primary) / 2}},
+            msec(400));
+      }
+      configs.push_back(cfg);
+    }
+  }
+  const std::vector<double> kBps_runs = bench::run_windows(cli, configs);
+
+  TextTable table({"% on primary", "avg throughput (KB/s)", "(kbps)"});
+  std::size_t next = 0;
+  for (int pct = 10; pct <= 100; pct += 10) {
+    double sum = 0;
+    for (int r = 0; r < 3; ++r) sum += kBps_runs[next++];
+    const double kBps = sum / 3.0;
     table.add_row({std::to_string(pct), TextTable::num(kBps, 1),
                    TextTable::num(kBps * 8, 0)});
   }

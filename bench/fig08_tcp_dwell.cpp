@@ -9,67 +9,35 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
-namespace {
-
-double run_once(Time dwell, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  tc.propagation.base_loss = 0.01;
-  tc.propagation.good_radius_m = 95;
-  trace::Testbed bed(tc);
-
-  trace::Testbed::ApSpec spec;
-  spec.channel = 6;
-  spec.position = {15, 0};
-  spec.backhaul = mbps(5);
-  spec.dhcp.offer_delay_median = msec(150);
-  spec.dhcp.offer_delay_max = msec(400);
-  bed.add_ap(spec);
-
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.num_interfaces = 1;
-  cfg.mode = core::OperationMode::equal_split({6, 1, 11}, 3 * dwell);
-
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [] { return Position{0, 0}; }, cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  trace::ThroughputRecorder recorder;
-  trace::DownloadHarness harness(bed.sim, bed.server_ip(), recorder);
-  harness.attach(manager);
-  driver.start();
-  manager.start();
-
-  bed.sim.run_until(sec(15));
-  const auto warmup_bytes = recorder.total_bytes();
-  bed.sim.run_until(sec(75));
-  return static_cast<double>(recorder.total_bytes() - warmup_bytes) / 60.0 / 1e3;
-}
-
-double run_with_dwell(Time dwell) {
-  double sum = 0;
-  for (std::uint64_t seed = 80; seed < 84; ++seed) {
-    sum += run_once(dwell, seed);
-  }
-  return sum / 4.0;
-}
-
-}  // namespace
-
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Fig. 8 — TCP throughput vs absolute per-channel dwell",
                 "equal 3-channel schedule: x on the channel, 2x away");
 
+  const int dwells[] = {15, 25, 50, 75, 100, 150, 200, 300, 400};
+  std::vector<trace::ScenarioConfig> configs;
+  for (int x : dwells) {
+    for (std::uint64_t seed = 80; seed < 84; ++seed) {
+      auto cfg =
+          bench::static_rig(seed, sec(75), {{{15, 0}, 6, mbps(5)}});
+      cfg.spider.num_interfaces = 1;
+      cfg.spider.mode =
+          core::OperationMode::equal_split({6, 1, 11}, 3 * msec(x));
+      configs.push_back(cfg);
+    }
+  }
+  const std::vector<double> kBps_runs = bench::run_windows(cli, configs);
+
   TextTable table({"dwell x (ms)", "away 2x (ms)", "avg throughput (KB/s)"});
-  for (int x : {15, 25, 50, 75, 100, 150, 200, 300, 400}) {
-    const double kBps = run_with_dwell(msec(x));
+  std::size_t next = 0;
+  for (int x : dwells) {
+    double sum = 0;
+    for (int r = 0; r < 4; ++r) sum += kBps_runs[next++];
     table.add_row({std::to_string(x), std::to_string(2 * x),
-                   TextTable::num(kBps, 1)});
+                   TextTable::num(sum / 4.0, 1)});
   }
   table.print(std::cout);
   std::printf(

@@ -10,57 +10,47 @@
 
 #include "analysis/join_model.hpp"
 #include "bench/bench_util.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "mobility/mobility.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
 namespace {
 
+/// Joins only: no download rides on the encounter.
+struct NoDownload : trace::ScenarioApp {
+  bool attach(trace::ClientRig&) override { return false; }
+};
+
 /// One encounter: drive past a single AP with fraction fi of a 500 ms
 /// schedule on its channel; `max_sends` bounds the DHCP client's
-/// per-phase retransmissions. Returns whether DHCP completed in range.
-bool encounter_joins(double fi, int max_sends, std::uint64_t seed) {
-  trace::TestbedConfig tc;
-  tc.seed = seed;
-  trace::Testbed bed(tc);
-  trace::Testbed::ApSpec spec;
-  spec.channel = 6;
-  spec.position = {100, 40};  // 40 m off the road
+/// per-phase retransmissions. The run joined if DHCP completed in range.
+trace::ScenarioConfig encounter(double fi, int max_sends, std::uint64_t seed) {
+  trace::ScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.duration = sec(12);  // well past the AP
+  cfg.speed_mps = 30.0;    // fast pass: ~6 s in range
+  // 150 m down the road, 40 m off it.
+  cfg.fixed_sites = {{{150, 40}, 6, mbps(1.5)}};
   // Server latency mirrors the model's beta in [0.5 s, 8 s] (slow AP).
-  spec.dhcp.offer_delay_min = msec(500);
-  spec.dhcp.offer_delay_median = sec(3);
-  spec.dhcp.offer_delay_max = sec(8);
-  bed.add_ap(spec);
-
-  mob::LinearRoad road({-50, 0}, {1, 0}, 30.0);  // fast pass: ~6 s in range
-  core::SpiderConfig cfg = bench::tuned_spider();
-  cfg.num_interfaces = 1;
-  cfg.dhcp = {.retx_timeout = msec(100), .max_sends = max_sends};  // c = 100 ms
+  cfg.dhcp_server.offer_delay_min = msec(500);
+  cfg.dhcp_server.offer_delay_median = sec(3);
+  cfg.dhcp_server.offer_delay_max = sec(8);
+  cfg.spider = bench::tuned_spider();
+  cfg.spider.num_interfaces = 1;
+  cfg.spider.dhcp = {.retx_timeout = msec(100),
+                     .max_sends = max_sends};  // c = 100 ms
   if (fi >= 1.0) {
-    cfg.mode = core::OperationMode::single(6);
+    cfg.spider.mode = core::OperationMode::single(6);
   } else {
-    cfg.mode = core::OperationMode::weighted(
+    cfg.spider.mode = core::OperationMode::weighted(
         {{6, fi}, {1, (1.0 - fi) / 2}, {11, (1.0 - fi) / 2}}, msec(500));
   }
-  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                            [&] { return road.position_at(bed.sim.now()); },
-                            cfg);
-  core::LinkManager manager(driver, bed.server_ip());
-  driver.start();
-  manager.start();
-  bed.sim.run_until(sec(12));  // well past the AP
-  for (const auto& rec : manager.join_log()) {
-    if (rec.dhcp_delay) return true;
-  }
-  return false;
+  return cfg;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Cross-validation — Eq. 7 vs the full system",
                 "single encounters at 30 m/s, slow APs, 60 trials per point");
 
@@ -72,18 +62,32 @@ int main() {
   p.c = 0.1;
   p.h = 0.1;
 
-  TextTable table({"fi", "model p(join)", "system (persistent client)",
-                   "system (stingy client)"});
-  for (double fi : {0.25, 0.50, 0.75, 1.00}) {
-    const double predicted = model::p_join_at(p, fi);
-    const int trials = 60;
-    int generous = 0, stingy = 0;
+  // Per fi and trial: the persistent client, then the stingy one.
+  const double fis[] = {0.25, 0.50, 0.75, 1.00};
+  const int trials = 60;
+  std::vector<trace::ScenarioConfig> configs;
+  for (double fi : fis) {
     for (int trial = 0; trial < trials; ++trial) {
       const auto seed = 3000 + static_cast<std::uint64_t>(fi * 1000 + trial);
-      generous += encounter_joins(fi, /*max_sends=*/10, seed);
-      stingy += encounter_joins(fi, /*max_sends=*/6, seed + 50000);
+      configs.push_back(encounter(fi, /*max_sends=*/10, seed));
+      configs.push_back(encounter(fi, /*max_sends=*/6, seed + 50000));
     }
-    table.add_row({TextTable::num(fi, 2), TextTable::num(predicted, 3),
+  }
+  const auto results = cli.run(configs, [](std::size_t, trace::Testbed&) {
+    return std::make_unique<NoDownload>();
+  });
+
+  TextTable table({"fi", "model p(join)", "system (persistent client)",
+                   "system (stingy client)"});
+  std::size_t next = 0;
+  for (double fi : fis) {
+    int generous = 0, stingy = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+      generous += results[next++].dhcp_succeeded > 0;
+      stingy += results[next++].dhcp_succeeded > 0;
+    }
+    table.add_row({TextTable::num(fi, 2),
+                   TextTable::num(model::p_join_at(p, fi), 3),
                    TextTable::num(static_cast<double>(generous) / trials, 3),
                    TextTable::num(static_cast<double>(stingy) / trials, 3)});
   }
@@ -93,5 +97,6 @@ int main() {
       "closed form; one that gives up after a stock-sized budget falls far\n"
       "below it — the §2.2 caveat that the model is optimistic about real\n"
       "multi-phase joins, quantified.\n");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

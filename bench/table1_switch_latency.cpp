@@ -8,53 +8,62 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "core/link_manager.hpp"
-#include "core/spider_driver.hpp"
-#include "trace/testbed.hpp"
 
 using namespace spider;
 
-int main() {
+namespace {
+
+/// Runs without a download and drops the switch samples taken while the
+/// interfaces were still joining: the driver's stats restart at 30 s.
+class SteadySwitches : public trace::ScenarioApp {
+ public:
+  explicit SteadySwitches(sim::Simulator& sim) {
+    bench::post_after(sim, sec(30), [this] { driver_->reset_switch_stats(); });
+  }
+  bool attach(trace::ClientRig& rig) override {
+    driver_ = rig.spider.get();
+    return false;
+  }
+
+ private:
+  core::SpiderDriver* driver_ = nullptr;
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto cli = bench::parse_sweep_cli(argc, argv);
   bench::banner("Table 1 — channel switching latency vs #interfaces",
                 "PSM frames + hardware reset + wake frames, 2-channel schedule");
 
-  TextTable table({"num interfaces", "mean (ms)", "std dev (ms)", "samples"});
-
+  // n APs on each of the two scheduled channels, all within easy range of
+  // the client at the origin; then a steady minute after the joins.
+  std::vector<trace::ScenarioConfig> configs;
   for (int n = 0; n <= 4; ++n) {
-    trace::TestbedConfig tc;
-    tc.seed = 40 + n;
-    tc.propagation.base_loss = 0.01;
-    tc.propagation.good_radius_m = 95;
-    trace::Testbed bed(tc);
-
-    // n APs on each of the two scheduled channels, all within easy range.
+    std::vector<mob::ApSite> sites;
     for (int i = 0; i < n; ++i) {
-      trace::Testbed::ApSpec spec;
-      spec.channel = 1;
-      spec.position = {static_cast<double>(10 + 10 * i), 0};
-      spec.dhcp.offer_delay_median = msec(150);
-      spec.dhcp.offer_delay_max = msec(400);
-      bed.add_ap(spec);
-      spec.channel = 11;
-      spec.position = {static_cast<double>(10 + 10 * i), 20};
-      bed.add_ap(spec);
+      const double x = 10 + 10 * i;
+      sites.push_back({{x, -10}, 1, mbps(1.5)});
+      sites.push_back({{x, 10}, 11, mbps(1.5)});
     }
+    auto cfg = bench::static_rig(40 + n, sec(90), sites);
+    // Without sites the road generates a deployment: keep it empty. One
+    // unassociated interface switches exactly like none.
+    cfg.deployment.aps_per_km = 0;
+    cfg.deployment.clusters_per_km = 0;
+    cfg.spider.num_interfaces = static_cast<std::size_t>(std::max(1, 2 * n));
+    cfg.spider.mode =
+        core::OperationMode::weighted({{1, 0.5}, {11, 0.5}}, msec(400));
+    configs.push_back(cfg);
+  }
+  const auto results =
+      cli.run(configs, [](std::size_t, trace::Testbed& bed) {
+        return std::make_unique<SteadySwitches>(bed.sim);
+      });
 
-    core::SpiderConfig cfg = bench::tuned_spider();
-    cfg.num_interfaces = static_cast<std::size_t>(2 * n);
-    cfg.mode = core::OperationMode::weighted({{1, 0.5}, {11, 0.5}}, msec(400));
-    core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
-                              [] { return Position{0, 10}; }, cfg);
-    core::LinkManager manager(driver, bed.server_ip());
-    driver.start();
-    manager.start();
-
-    // Let all joins complete, then measure over a steady minute.
-    bed.sim.run_until(sec(30));
-    driver.reset_switch_stats();  // drop pre-association warm-up samples
-    bed.sim.run_until(sec(90));
-
-    const auto& stats = driver.switch_latency_stats();
+  TextTable table({"num interfaces", "mean (ms)", "std dev (ms)", "samples"});
+  for (int n = 0; n <= 4; ++n) {
+    const auto& stats = results[static_cast<std::size_t>(n)].switch_latency_ms;
     table.add_row({
         std::to_string(n),
         TextTable::num(stats.mean(), 3),
@@ -67,5 +76,6 @@ int main() {
       "\n(Latency = PSM drain + %s hardware reset + wake-frame airtime;\n"
       "grows with interface count as a PSM frame is sent per associated AP.)\n",
       "4 ms");
+  bench::maybe_write_perf_csv(cli, results);
   return 0;
 }

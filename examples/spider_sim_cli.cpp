@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,7 +102,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--speed") {
       cfg.speed_mps = std::atof(next());
     } else if (arg == "--duration") {
-      cfg.duration = sec(std::atof(next()));
+      const char* text = next();
+      const std::optional<Time> duration =
+          bounded_time(std::atof(text), 1e6, sec);
+      if (!duration) {
+        std::fprintf(stderr,
+                     "%s: --duration must be a time in [%.0f, %.0f] seconds, "
+                     "got '%s'\n",
+                     argv[0], -time_bound(1e6), time_bound(1e6), text);
+        usage(argv[0]);
+      }
+      cfg.duration = *duration;
     } else if (arg == "--road") {
       cfg.deployment.road_length_m = std::atof(next());
     } else if (arg == "--density") {

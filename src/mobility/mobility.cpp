@@ -5,18 +5,6 @@
 
 namespace spider::mob {
 
-LinearRoad::LinearRoad(Position start, Position direction, double speed_mps)
-    : start_(start), speed_(speed_mps) {
-  const double norm = std::sqrt(direction.x * direction.x + direction.y * direction.y);
-  assert(norm > 0.0);
-  dir_ = Position{direction.x / norm, direction.y / norm};
-}
-
-Position LinearRoad::position_at(Time t) const {
-  const double d = speed_ * to_seconds(t);
-  return Position{start_.x + dir_.x * d, start_.y + dir_.y * d};
-}
-
 BackAndForthRoad::BackAndForthRoad(double length_m, double speed_mps,
                                    double lane_y)
     : length_(length_m), speed_(speed_mps), lane_y_(lane_y) {

@@ -18,31 +18,6 @@ class MobilityModel {
   virtual double speed_mps() const = 0;
 };
 
-/// Fixed position (the paper's indoor TCP experiments, APs, servers).
-class Stationary final : public MobilityModel {
- public:
-  explicit Stationary(Position pos) : pos_(pos) {}
-  Position position_at(Time) const override { return pos_; }
-  double speed_mps() const override { return 0.0; }
-
- private:
-  Position pos_;
-};
-
-/// Straight-line motion from `start` along a unit direction at `speed`.
-/// Used for single-encounter experiments (drive past one AP).
-class LinearRoad final : public MobilityModel {
- public:
-  LinearRoad(Position start, Position direction, double speed_mps);
-  Position position_at(Time t) const override;
-  double speed_mps() const override { return speed_; }
-
- private:
-  Position start_;
-  Position dir_;  ///< normalised
-  double speed_;
-};
-
 /// Drives back and forth along the x-axis segment [0, length] at constant
 /// speed — "the mobile node following the same route multiple times"
 /// (§4.1). The turn-arounds are instantaneous.

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "serve/campaign.hpp"
@@ -110,7 +111,18 @@ int main(int argc, char** argv) {
       config.base.impairments =
           spider::trace::ImpairmentSource::trace_file(value());
     } else if (std::strcmp(flag, "--duration-s") == 0) {
-      config.base.duration = spider::sec(parse_number(argv[0], flag, value()));
+      const char* text = value();
+      const std::optional<spider::Time> duration = spider::bounded_time(
+          parse_number(argv[0], flag, text), 1e6, spider::sec);
+      if (!duration) {
+        std::fprintf(stderr,
+                     "%s: --duration-s must be a time in [%.0f, %.0f] "
+                     "seconds, got '%s'\n",
+                     argv[0], -spider::time_bound(1e6),
+                     spider::time_bound(1e6), text);
+        usage(argv[0]);
+      }
+      config.base.duration = *duration;
     } else if (std::strcmp(flag, "--speed-mps") == 0) {
       config.base.speed_mps = parse_number(argv[0], flag, value());
     } else if (std::strcmp(flag, "--clients") == 0) {

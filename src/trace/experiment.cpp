@@ -55,14 +55,16 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // so the trace is a pure function of (config, seed).
   if (tracer) bed.sim.set_tracer(tracer.get());
 
-  // Populate the road (or the city street mesh).
-  Rng deploy_rng = bed.fork_rng();
-  const auto sites =
-      !config.fixed_sites.empty()
-          ? config.fixed_sites
-          : config.city
-              ? mob::generate_city_deployment(*config.city, deploy_rng)
-              : mob::generate_deployment(config.deployment, deploy_rng);
+  // Populate the road (or the city street mesh). Only a generated
+  // deployment forks the testbed's RNG: fixed sites take no fork, so their
+  // AP streams equal those of a Testbed built by hand with the same APs.
+  std::vector<mob::ApSite> sites = config.fixed_sites;
+  if (sites.empty()) {
+    Rng deploy_rng = bed.fork_rng();
+    sites = config.city
+                ? mob::generate_city_deployment(*config.city, deploy_rng)
+                : mob::generate_deployment(config.deployment, deploy_rng);
+  }
   for (const auto& site : sites) {
     Testbed::ApSpec spec;
     spec.channel = site.channel;

@@ -56,6 +56,8 @@ struct ScenarioConfig {
   std::optional<mob::CityGridConfig> city;
   /// When non-empty, replay these sites instead of generating a deployment
   /// (e.g. loaded from a wardriving CSV via mob::read_sites_csv_file).
+  /// Fixed sites take no deployment RNG fork, so a static rig built from
+  /// them replays a hand-built Testbed with the same APs exactly.
   std::vector<mob::ApSite> fixed_sites;
   phy::PropagationConfig propagation;
   /// Medium neighbor search: the spatial grid by default; brute force is

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -86,21 +87,22 @@ Time millis_exact(double v) {
 Time millis_truncated(double v) { return msec(static_cast<std::int64_t>(v)); }
 
 /// Reads a time in units of `ticks_per_unit` microseconds (1e6 for *_s
-/// keys, 1e3 for *_ms keys) and converts it with the key's own rounding.
-/// It is bounded to +/-1e18 us first: converting a double beyond the tick
-/// range is undefined behaviour. The sign is left to validate().
+/// keys, 1e3 for *_ms keys) and converts it with the key's own rounding,
+/// through the shared bound of bounded_time. The sign is left to
+/// validate().
 bool read_time(const Json& value, const std::string& field,
                double ticks_per_unit, Time (*convert)(double), Time* out,
                std::string* error) {
-  const double bound = 1e18 / ticks_per_unit;
   double v = 0.0;
   if (!read_number(value, field, &v, error)) return false;
-  if (!(v >= -bound && v <= bound)) {
+  const std::optional<Time> time = bounded_time(v, ticks_per_unit, convert);
+  if (!time) {
+    const double bound = time_bound(ticks_per_unit);
     return set_error(error, field + " must be a time in [" +
                                 json_number(-bound) + ", " +
                                 json_number(bound) + "]");
   }
-  *out = convert(v);
+  *out = *time;
   return true;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -67,7 +68,13 @@ struct RowChecker {
     if (!std::isfinite(occupancy) || occupancy < 0.0 || occupancy > 1.0) {
       fail(line_no, "occupancy " + num17(occupancy) + " outside [0, 1]");
     }
-    const Time at = seconds_to_time(t_s);
+    const std::optional<Time> bounded =
+        bounded_time(t_s, 1e6, seconds_to_time);
+    if (!bounded) {
+      fail(line_no, "bad timestamp " + num17(t_s) + " (must be at most " +
+                        num17(time_bound(1e6)) + " s)");
+    }
+    const Time at = *bounded;
     const auto it = last_at.find(channel);
     if (it != last_at.end()) {
       if (at < it->second) {

@@ -4,6 +4,13 @@
 
 namespace spider {
 
+std::optional<Time> bounded_time(double v, double ticks_per_unit,
+                                 Time (*convert)(double)) {
+  const double bound = time_bound(ticks_per_unit);
+  if (!(v >= -bound && v <= bound)) return std::nullopt;
+  return convert(v);
+}
+
 std::string format_time(Time t) {
   char buf[32];
   const auto us = t.count();

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace spider {
@@ -29,6 +30,20 @@ constexpr double to_seconds(Time t) {
 constexpr double to_millis(Time t) {
   return static_cast<double>(t.count()) / 1e3;
 }
+
+/// Largest magnitude, in units of `ticks_per_unit` microseconds (1e6 for
+/// seconds, 1e3 for milliseconds), that bounded_time accepts: 1e18 us.
+constexpr double time_bound(double ticks_per_unit) {
+  return 1e18 / ticks_per_unit;
+}
+
+/// Checked conversion for a time read from outside the program (a wire
+/// request, a command-line flag, a trace file): `v` counts units of
+/// `ticks_per_unit` microseconds and converts with `convert`, the caller's
+/// own rounding. Converting a double beyond the tick range is undefined
+/// behaviour, so a `v` outside +/-time_bound (or NaN) yields nullopt.
+std::optional<Time> bounded_time(double v, double ticks_per_unit,
+                                 Time (*convert)(double));
 
 /// Formats a time as a short human-readable string ("1.250s", "37ms").
 std::string format_time(Time t);

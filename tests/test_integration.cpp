@@ -312,5 +312,146 @@ TEST(ScenarioApp, ResultsAreIndependentOfJobs) {
   }
 }
 
+/// Reference: the hand-built static rig Fig. 7 used to assemble — one AP,
+/// a static client, the window read between two run_until calls.
+struct HandBuiltWindow {
+  double kBps = 0.0;
+  std::vector<core::JoinRecord> joins;
+};
+
+HandBuiltWindow hand_built_window(std::uint64_t seed,
+                                  const core::OperationMode& mode) {
+  TestbedConfig tc;
+  tc.seed = seed;
+  tc.propagation.base_loss = 0.01;
+  tc.propagation.good_radius_m = 95;
+  Testbed bed(tc);
+  Testbed::ApSpec spec;
+  spec.channel = 6;
+  spec.position = {15, 0};
+  spec.backhaul = mbps(5);
+  spec.dhcp.offer_delay_median = msec(150);
+  spec.dhcp.offer_delay_max = msec(400);
+  bed.add_ap(spec);
+
+  core::SpiderConfig cfg = bench::tuned_spider();
+  cfg.num_interfaces = 1;
+  cfg.mode = mode;
+  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
+                            [] { return Position{0, 0}; }, cfg);
+  core::LinkManager manager(driver, bed.server_ip());
+  ThroughputRecorder recorder;
+  DownloadHarness harness(bed.sim, bed.server_ip(), recorder);
+  harness.attach(manager);
+  driver.start();
+  manager.start();
+  bed.sim.run_until(sec(15));
+  const auto warm = recorder.total_bytes();
+  bed.sim.run_until(sec(75));
+  return {static_cast<double>(recorder.total_bytes() - warm) / 60.0 / 1e3,
+          manager.join_log()};
+}
+
+void expect_same_joins(const std::vector<core::JoinRecord>& a,
+                       const std::vector<core::JoinRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].bssid, b[i].bssid);
+    EXPECT_EQ(a[i].channel, b[i].channel);
+    EXPECT_EQ(a[i].started, b[i].started);
+    EXPECT_EQ(a[i].assoc_delay, b[i].assoc_delay);
+    EXPECT_EQ(a[i].dhcp_delay, b[i].dhcp_delay);
+    EXPECT_EQ(a[i].e2e_delay, b[i].e2e_delay);
+    EXPECT_EQ(a[i].outcome, b[i].outcome);
+    EXPECT_EQ(a[i].finished, b[i].finished);
+  }
+}
+
+TEST(ScenarioApp, StaticWindowMatchesTheHandBuiltRig) {
+  // A fixed-site run takes no deployment fork, so its AP streams, and with
+  // them the whole run, equal the hand-built rig's. (No event lands on the
+  // 15 s edge here; MidRunEdgeMatchesTheHandBuiltRig pins the edge rule.)
+  const core::OperationMode modes[] = {
+      core::OperationMode::single(6),
+      core::OperationMode::weighted({{6, 0.5}, {1, 0.25}, {11, 0.25}},
+                                    msec(400)),
+  };
+  std::vector<ScenarioConfig> configs;
+  for (const auto& mode : modes) {
+    auto cfg = bench::static_rig(70, sec(75), {{{15, 0}, 6, mbps(5)}});
+    cfg.spider.num_interfaces = 1;
+    cfg.spider.mode = mode;
+    configs.push_back(cfg);
+  }
+  std::vector<double> kBps(configs.size());
+  const auto results = ScenarioRunner().run_many(
+      configs, [&kBps](std::size_t run, Testbed& bed) {
+        return std::make_unique<bench::WindowDownload>(bed, kBps[run]);
+      });
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const HandBuiltWindow reference = hand_built_window(70, modes[i]);
+    ASSERT_GT(reference.kBps, 0.0);
+    EXPECT_EQ(kBps[i], reference.kBps);
+    expect_same_joins(results[i].join_log, reference.joins);
+    // The window app replaced the run's own download.
+    EXPECT_EQ(results[i].total_bytes, 0u);
+  }
+}
+
+/// Restarts the client's switch statistics at `at` and drops the download.
+class ResetSwitchStats : public ScenarioApp {
+ public:
+  ResetSwitchStats(sim::Simulator& sim, Time at) {
+    bench::post_after(sim, at, [this] { driver_->reset_switch_stats(); });
+  }
+  bool attach(ClientRig& rig) override {
+    driver_ = rig.spider.get();
+    return false;
+  }
+
+ private:
+  core::SpiderDriver* driver_ = nullptr;
+};
+
+TEST(ScenarioApp, MidRunEdgeMatchesTheHandBuiltRig) {
+  // Table 1's empty rig: a switch lands exactly on the 30 s edge, which a
+  // hand-built rig counted as warm-up. Posted at 30 s instead of one tick
+  // later, the reset runs ahead of it and keeps one sample too many.
+  const core::OperationMode mode =
+      core::OperationMode::weighted({{1, 0.5}, {11, 0.5}}, msec(400));
+  TestbedConfig tc;
+  tc.seed = 40;
+  tc.propagation.base_loss = 0.01;
+  tc.propagation.good_radius_m = 95;
+  Testbed bed(tc);
+  core::SpiderConfig cfg = bench::tuned_spider();
+  cfg.num_interfaces = 1;
+  cfg.mode = mode;
+  core::SpiderDriver driver(bed.sim, bed.medium, bed.next_client_mac_block(),
+                            [] { return Position{0, 0}; }, cfg);
+  core::LinkManager manager(driver, bed.server_ip());
+  driver.start();
+  manager.start();
+  bed.sim.run_until(sec(30));
+  driver.reset_switch_stats();
+  bed.sim.run_until(sec(90));
+  const OnlineStats& reference = driver.switch_latency_stats();
+  ASSERT_GT(reference.count(), 0u);
+
+  ScenarioConfig run = bench::static_rig(40, sec(90), {});
+  run.deployment.aps_per_km = 0;
+  run.deployment.clusters_per_km = 0;
+  run.spider.num_interfaces = 1;
+  run.spider.mode = mode;
+  const auto results = ScenarioRunner().run_many(
+      {run}, [](std::size_t, Testbed& run_bed) {
+        return std::make_unique<ResetSwitchStats>(run_bed.sim, sec(30));
+      });
+  const OnlineStats& hooked = results.front().switch_latency_ms;
+  EXPECT_EQ(hooked.count(), reference.count());
+  EXPECT_EQ(hooked.mean(), reference.mean());
+  EXPECT_EQ(hooked.stddev(), reference.stddev());
+}
+
 }  // namespace
 }  // namespace spider::trace

@@ -137,6 +137,19 @@ TEST(OccupancyIngest, OutOfRangeChannelReportsItsRealValue) {
             "(2.4 GHz band is 1..14)");
 }
 
+TEST(OccupancyIngest, OutOfRangeTimestampIsALineNamedError) {
+  // Past the tick range the rounding conversion is undefined behaviour; a
+  // 1e30 s row used to ingest as time -2^63 us.
+  EXPECT_EQ(ingest_error("0,6,0.2\n1e30,6,0.5\n"),
+            "occupancy trace line 2: bad timestamp 1e+30 "
+            "(must be at most 1000000000000 s)");
+  EXPECT_EQ(
+      ingest_error("{\"t_s\":1e13,\"channel\":6,\"occupancy\":0.5}\n"),
+      "occupancy trace line 1: bad timestamp 10000000000000 "
+      "(must be at most 1000000000000 s)");
+  EXPECT_EQ(ingest_error("1e12,6,0.5\n"), "");
+}
+
 TEST(OccupancyIngest, MalformedJsonlRowsReportLineNumbers) {
   EXPECT_EQ(ingest_error("{\"channel\":6,\"occupancy\":0.4}\n"),
             "occupancy trace line 1: missing numeric field 't_s'");
